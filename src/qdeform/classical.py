@@ -22,7 +22,6 @@ from dataclasses import dataclass
 from math import cosh, exp, pi, sinh, sqrt
 
 import numpy as np
-from scipy.integrate import solve_ivp
 
 
 class InsufficientRangeError(RuntimeError):
@@ -141,6 +140,9 @@ class Trajectory:
 
 def integrate_trajectory(params: ClassicalParams, t_max: float,
                          tol: float = 1e-9, n_samples: int = 501) -> Trajectory:
+    # imported here: scipy.integrate costs most of `import qdeform`
+    from scipy.integrate import solve_ivp
+
     t_eval = np.linspace(0.0, t_max, n_samples)
     sol = solve_ivp(
         hamilton_rhs,

@@ -4,22 +4,24 @@ A Presentation fixes an ordered generator list and, for out-of-order adjacent
 generator pairs, a rewrite target that is a combination of normal-ordered
 monomials of degree <= 2 plus an optional constant.  Rewriting never raises
 degree, so normal forms exist whenever the rule set terminates; a step budget
-guards the rest.  Flatness diagnostics decide monomial counts and discovered
-relations by linear algebra at a generic rational point, then re-verify each
-discovered relation symbolically over the exact scalar ring.
+guards the rest.  The flatness scan eliminates the one-step rewrite
+equations with one division-free routine, twice: at a generic rational point
+to decide monomial counts and discover relations, then once over the exact
+scalar ring to re-verify every discovered relation symbolically.
 """
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from dataclasses import dataclass, field
 from fractions import Fraction
 from math import comb
 from typing import Mapping
 
-from .scalars import GR_ONE, GaussRat, QExact, QExactError
+from .scalars import QExact, QExactError
 
 DEFAULT_STEP_BUDGET = 200_000
-DEFAULT_WORD_BUDGET = 30_000
+WORD_BUDGET = 30_000
 DEFAULT_BRANCH_BUDGET = 20_000
 
 # generic rational evaluation point for rank decisions: s = 7/5, q = 49/25
@@ -501,44 +503,6 @@ class FlatnessReport:
         return tuple(r.degree() for r in self.relations)
 
 
-class _RatQ:
-    """Fraction field of the exact scalar ring (for symbolic elimination)."""
-
-    __slots__ = ("num", "den")
-
-    def __init__(self, num: QExact, den: QExact | None = None):
-        self.num = num
-        self.den = QExact.one() if den is None else den
-        if self.den.is_zero():
-            raise ZeroDivisionError("zero denominator in symbolic elimination")
-
-    @classmethod
-    def of(cls, value) -> "_RatQ":
-        if isinstance(value, _RatQ):
-            return value
-        return cls(QExact._coerce(value))
-
-    def is_zero(self) -> bool:
-        return self.num.is_zero()
-
-    def __add__(self, other: "_RatQ") -> "_RatQ":
-        return _RatQ(self.num * other.den + other.num * self.den, self.den * other.den)
-
-    def __sub__(self, other: "_RatQ") -> "_RatQ":
-        return _RatQ(self.num * other.den - other.num * self.den, self.den * other.den)
-
-    def __mul__(self, other: "_RatQ") -> "_RatQ":
-        return _RatQ(self.num * other.num, self.den * other.den)
-
-    def __truediv__(self, other: "_RatQ") -> "_RatQ":
-        if other.is_zero():
-            raise ZeroDivisionError("division by zero in symbolic elimination")
-        return _RatQ(self.num * other.den, self.den * other.num)
-
-    def __neg__(self) -> "_RatQ":
-        return _RatQ(-self.num, self.den)
-
-
 def _one_step_rows(pres: Presentation, words: list[Word]):
     """One-step rewrite equations word - image = 0, as sparse rows."""
     rows = []
@@ -561,77 +525,53 @@ def _one_step_rows(pres: Presentation, words: list[Word]):
     return rows
 
 
-def _sparse_rref(rows: list[dict], order: dict, field_ops) -> dict:
-    """Reduced echelon form of sparse rows over an arbitrary field.
+def _row_length(row: dict) -> int:
+    return max(map(len, row))
 
-    rows map column keys to field elements; order maps column keys to their
-    elimination rank (smaller rank is eliminated first).  Returns a mapping
-    pivot-column -> fully reduced row with unit pivot.
+
+def _lead(row: dict, order: dict):
+    return min(row, key=order.__getitem__)
+
+
+def _sub_multiple(row: dict, b, pivot: dict) -> None:
+    """row <- row - b*pivot in place, dropping entries that cancel."""
+    for c, v in pivot.items():
+        acc = row.get(c)
+        acc = -(b * v) if acc is None else acc - b * v
+        if acc.is_zero():
+            row.pop(c, None)
+        else:
+            row[c] = acc
+
+
+def _reduce(row: dict, pivots: dict, order: dict) -> dict:
+    """Reduce a sparse row against an echelon form without dividing.
+
+    While the leading column of `row` has a pivot row, replaces
+    row <- a*row - b*pivot with a, b the leading entries of pivot and row.
+    Over an integral domain a nonzero `a` never changes whether the row lies
+    in the span, so the remainder is zero exactly when it does.
     """
-    zero_test, div, mul, sub = field_ops
-    pivots: dict = {}
+    row = dict(row)
+    while row:
+        col = _lead(row, order)
+        pivot = pivots.get(col)
+        if pivot is None:
+            break
+        a, b = pivot[col], row[col]
+        if not a.is_one():
+            row = {c: a * v for c, v in row.items()}
+        _sub_multiple(row, b, pivot)
+    return row
 
-    def reduce_row(row: dict) -> dict:
-        row = dict(row)
-        while row:
-            col = min(row, key=order.__getitem__)
-            if col not in pivots:
-                return row
-            factor = row[col]
-            prow = pivots[col]
-            for c2, v2 in prow.items():
-                acc = sub(row.get(c2), mul(factor, v2))
-                if zero_test(acc):
-                    row.pop(c2, None)
-                else:
-                    row[c2] = acc
-        return row
 
+def _echelon(rows, order: dict, pivots: dict) -> dict:
+    """Grow the echelon form `pivots` (leading column -> row) in place."""
     for raw in rows:
-        row = reduce_row(raw)
-        if not row:
-            continue
-        col = min(row, key=order.__getitem__)
-        inv = row[col]
-        row = {c: div(v, inv) for c, v in row.items()}
-        # back-substitute into existing pivot rows
-        for pcol, prow in pivots.items():
-            if col in prow:
-                f = prow[col]
-                for c2, v2 in row.items():
-                    acc = sub(prow.get(c2), mul(f, v2))
-                    if zero_test(acc):
-                        prow.pop(c2, None)
-                    else:
-                        prow[c2] = acc
-        pivots[col] = row
+        row = _reduce(raw, pivots, order)
+        if row:
+            pivots[_lead(row, order)] = row
     return pivots
-
-
-def _gauss_ops():
-    zero = GaussRat(Fraction(0), Fraction(0))
-
-    def sub(a, b):
-        return (a if a is not None else zero) - b
-
-    return (
-        lambda v: v.is_zero(),
-        lambda a, b: a / b,
-        lambda a, b: a * b,
-        sub,
-    )
-
-
-def _ratq_ops():
-    def sub(a, b):
-        return (a if a is not None else _RatQ(QExact.zero())) - b
-
-    return (
-        lambda v: v.is_zero(),
-        lambda a, b: a / b,
-        lambda a, b: a * b,
-        sub,
-    )
 
 
 def _column_order(pres: Presentation, words: list[Word]) -> dict:
@@ -645,27 +585,30 @@ def _column_order(pres: Presentation, words: list[Word]) -> dict:
     return {w: k for k, w in enumerate(non_normal + normal)}
 
 
-def flatness_scan(
-    pres: Presentation,
-    max_degree: int,
-    word_budget: int = DEFAULT_WORD_BUDGET,
-) -> FlatnessReport:
+def flatness_scan(pres: Presentation, max_degree: int) -> FlatnessReport:
     """Count reachable normal monomials per degree and discover relations.
 
     Every one-step rewrite of every word of degree <= max_degree yields a
-    linear equation; reduced echelon form over an exact generic evaluation
-    point determines the quotient dimensions.  Rows supported entirely on
-    normal monomials are candidate relations; each is lifted to exact
-    coefficients and re-verified by symbolic elimination before reporting.
+    linear equation word - image = 0.  Normal words are eliminated last, so
+    the relations are the echelon rows led by normal words.  One
+    division-free elimination (`_echelon`) serves both passes:
+
+    - at the generic point s = 7/5, its rows led by normal words give the
+      counts per degree; back-reduced among themselves to unit leads, they
+      are the discovered relations (the reduced echelon form is unique);
+    - over the exact scalar ring, one echelon form is grown in order of
+      word length, and each relation, lifted to exact coefficients, is
+      reduced against it once all rows up to its degree are in.  A nonzero
+      remainder means the lift was unsound and raises QExactError.
     """
     if max_degree > 8:
         raise PresentationError("flatness scan supports max_degree <= 8")
     k = pres.arity
     total = sum(k ** d for d in range(max_degree + 1))
-    if total > word_budget:
+    if total > WORD_BUDGET:
         raise DivergedError(
             f"word budget exceeded: {total} words of degree <= {max_degree} "
-            f"over {k} generators (budget {word_budget})"
+            f"over {k} generators (budget {WORD_BUDGET})"
         )
 
     words: list[Word] = [()]
@@ -676,39 +619,49 @@ def flatness_scan(
 
     order = _column_order(pres, words)
     rows = _one_step_rows(pres, words)
-    numeric_rows = [
-        {w: c.eval_at_s(GENERIC_S) for w, c in row.items()} for row in rows
-    ]
-    pivots = _sparse_rref(numeric_rows, order, _gauss_ops())
+    generic = _echelon(
+        ({w: c.eval_at_s(GENERIC_S) for w, c in row.items()} for row in rows),
+        order,
+        {},
+    )
+    leads = sorted((col for col in generic if _is_normal(col)), key=order.__getitem__)
+    if any(not _is_normal(w) for col in leads for w in generic[col]):
+        # cannot happen given the column ordering; guard anyway
+        raise DivergedError("relation row touches non-normal columns")
 
-    # classify pivots
-    normal_pivot_rows = {
-        col: row for col, row in pivots.items() if _is_normal(col)
-    }
-    for col, row in normal_pivot_rows.items():
-        stray = [w for w in row if not _is_normal(w)]
-        if stray:  # cannot happen given the column ordering; guard anyway
-            raise DivergedError("relation row touches non-normal columns")
-
-    # reachable counts per degree
     counts = []
     flat_counts = []
     for d in range(max_degree + 1):
         n_normal = comb(d + k - 1, k - 1)
-        n_pivots = sum(1 for col in normal_pivot_rows if len(col) == d)
-        counts.append(n_normal - n_pivots)
+        counts.append(n_normal - sum(1 for col in leads if len(col) == d))
         flat_counts.append(n_normal)
 
-    # lift relations to exact coefficients and re-verify symbolically
-    relations = []
-    for col in sorted(normal_pivot_rows, key=order.__getitem__):
-        row = normal_pivot_rows[col]
-        lifted = {
-            _word_expvec(w, k): QExact.gauss(v) for w, v in row.items()
-        }
-        candidate = NCPoly(pres, lifted)
-        _verify_relation_symbolically(pres, candidate, words, rows, order)
-        relations.append(candidate)
+    # back-reduce the relation rows among themselves, last lead first
+    reduced: dict = {}
+    for col in reversed(leads):
+        lead = generic[col][col]
+        row = {w: v / lead for w, v in generic[col].items()}
+        for w in [w for w in row if w in reduced]:
+            _sub_multiple(row, row[w], reduced[w])
+        reduced[col] = row
+    relations = [
+        NCPoly(pres, {_word_expvec(w, k): QExact.gauss(v) for w, v in reduced[col].items()})
+        for col in leads
+    ]
+
+    # symbolic re-check of the lifted relations against one exact echelon form
+    rows.sort(key=_row_length)
+    symbolic: dict = {}
+    added = 0
+    for rel in sorted(relations, key=NCPoly.degree):
+        upto = bisect_right(rows, rel.degree(), key=_row_length)
+        _echelon(rows[added:upto], order, symbolic)
+        added = upto
+        if _reduce({_expand(ev): c for ev, c in rel.terms.items()}, symbolic, order):
+            raise QExactError(
+                f"discovered relation {rel.render()!r} failed the "
+                "symbolic re-check; generic-point lift is unsound here"
+            )
 
     return FlatnessReport(
         presentation=pres.name,
@@ -717,44 +670,3 @@ def flatness_scan(
         flat_counts=tuple(flat_counts),
         relations=tuple(relations),
     )
-
-
-def _verify_relation_symbolically(
-    pres: Presentation,
-    candidate: NCPoly,
-    words: list[Word],
-    rows: list[dict],
-    order: dict,
-) -> None:
-    """Check that a lifted relation lies in the symbolic row span.
-
-    Eliminates the one-step system over the fraction field of the exact
-    scalar ring (restricted to words of degree <= the relation degree) and
-    reduces the candidate row against it; a nonzero remainder means the
-    generic-point lift was unsound and is reported as an error.
-    """
-    deg = candidate.degree()
-    sub_rows = [
-        {w: _RatQ.of(c) for w, c in row.items()}
-        for row in rows
-        if max(len(w) for w in row) <= deg
-    ]
-    pivots = _sparse_rref(sub_rows, order, _ratq_ops())
-
-    remainder: dict[Word, _RatQ] = {
-        _expand(ev): _RatQ.of(c) for ev, c in candidate.terms.items()
-    }
-    while remainder:
-        col = min(remainder, key=order.__getitem__)
-        if col not in pivots:
-            raise QExactError(
-                f"discovered relation {candidate.render()!r} failed the "
-                "symbolic re-check; generic-point lift is unsound here"
-            )
-        factor = remainder[col]
-        for c2, v2 in pivots[col].items():
-            acc = remainder.get(c2, _RatQ.of(0)) - factor * v2
-            if acc.is_zero():
-                remainder.pop(c2, None)
-            else:
-                remainder[c2] = acc

@@ -24,6 +24,9 @@ import numpy as np
 
 SECTORS = ("plus", "minus", "both")
 
+# positive eigenvalues below FLOOR_FACTOR * max|eigenvalue| * eps are noise
+FLOOR_FACTOR = 1e4
+
 
 class SpectrumWindowError(RuntimeError):
     """Raised when the usable spectral window is empty."""
@@ -111,11 +114,6 @@ def build_phase_rep(params: PhaseParams) -> PhaseRep:
 # residuals
 
 
-def _block_max(m: np.ndarray, mask: np.ndarray) -> float:
-    sub = m[np.ix_(mask, mask)]
-    return float(np.max(np.abs(sub))) if sub.size else 0.0
-
-
 def _backward_residual(defect: np.ndarray, scale: np.ndarray, mask: np.ndarray) -> float:
     """Entrywise backward-error norm over the interior block.
 
@@ -139,11 +137,11 @@ def _prodmag(*pairs) -> np.ndarray:
     return total
 
 
-def relation_residuals(rep: PhaseRep, margin: int = 2) -> dict[str, float]:
+def relation_residuals(rep: PhaseRep) -> dict[str, float]:
     """Backward-relative interior residuals of the five defining properties."""
     q = rep.params.q
     P, X, U = rep.P, rep.X, rep.U
-    mask = rep.interior(margin)
+    mask = rep.interior()
     sq = q ** 0.5
     XP, PX = X @ P, P @ X
     UX, XU = U @ X, X @ U
@@ -199,7 +197,7 @@ class Reconstruction:
     residuals: dict[str, float]
 
 
-def reconstruct_pxlambda(rep: PhaseRep, margin: int = 2) -> Reconstruction:
+def reconstruct_pxlambda(rep: PhaseRep) -> Reconstruction:
     params = rep.params
     q = params.q
     x = ((1.0 + q) / (2.0 * q)) * rep.X
@@ -219,7 +217,7 @@ def reconstruct_pxlambda(rep: PhaseRep, margin: int = 2) -> Reconstruction:
         p[at:at + d, at:at + d] = b
         at += d
 
-    mask = rep.interior(margin)
+    mask = rep.interior()
     eye = np.eye(dim)
     px, xp = p @ x, x @ p
     lam_inv_p = lam_inv @ p
@@ -285,18 +283,17 @@ def _require_doubled(rep: PhaseRep) -> None:
                          "build the representation with sectors='both'")
 
 
-def _ladder_report(
-    rep: PhaseRep,
-    X: np.ndarray,
-    floor_factor: float,
-    margin_low: int,
-    margin_high: int,
-):
+def _ladder_report(rep: PhaseRep, X: np.ndarray, margin_low: int, margin_high: int):
     """Diagonalize X and analyse its positive ladder.
 
-    Positive eigenvalues are floored above the eigensolver noise scale,
-    deduplicated, and trimmed by `margin_low` / `margin_high` values at the
-    small / large end before the ratio series is formed.
+    Positive eigenvalues are floored at FLOOR_FACTOR times the eigensolver
+    noise scale, deduplicated, and trimmed by `margin_low` / `margin_high`
+    values at the small / large end before the ratio series is formed.
+
+    The noise scale grows like the largest eigenvalue, about q^N, while the
+    smallest shrink like q^-N, so beyond some N a larger window only loses
+    more small values to noise while the trims keep growing; an empty window
+    says which of the two limits it hit.
     """
     vals, vecs = np.linalg.eigh(X)
     dim = rep.dim
@@ -306,13 +303,25 @@ def _ladder_report(
     diag_defect = float(np.max(np.abs(recon))) / scale
 
     noise = float(np.max(np.abs(vals))) * np.finfo(float).eps
-    floor = floor_factor * noise
+    floor = FLOOR_FACTOR * noise
     positives = _dedup_clusters(np.sort(vals[vals > floor]))
     lo = margin_low
     hi = len(positives) - margin_high
     if hi - lo < 3:
+        # X has a two-dimensional kernel on both routes (each sector has odd
+        # dimension 2N+1); every other eigenvalue under the floor is noise
+        dropped = int(np.count_nonzero(np.abs(vals) <= floor)) - 2
+        advice = (
+            "use a smaller N: the noise floor rises with the largest "
+            "eigenvalue, so a larger N loses more small values"
+            if dropped > 0 else "use a larger N"
+        )
         raise SpectrumWindowError(
-            "usable spectral window is empty; increase N or loosen margins"
+            f"usable spectral window is empty at N = {rep.params.N}: "
+            f"{len(positives)} distinct positive values clear the noise floor "
+            f"{floor:.3g} and {dropped} eigenvalues were dropped as noise, "
+            f"but the trims remove {margin_low} low and {margin_high} high "
+            f"values; {advice}"
         )
     kept = positives[lo:hi]
     ratios = kept[1:] / kept[:-1]
@@ -336,19 +345,15 @@ def _ladder_report(
     return report, vecs
 
 
-def x_eigensystem(
-    rep: PhaseRep,
-    floor_factor: float = 1e4,
-    margin_low: int = 2,
-    margin_high: int | None = None,
-):
+def x_eigensystem(rep: PhaseRep):
     """Eigen-decomposition of the doubled position operator.
 
     Returns (SpectrumReport, eigenvector matrix).  Positive eigenvalues are
     deduplicated (the two sectors mirror each other), floored above the
     eigensolver noise scale, and trimmed at both ends before the ratio
-    series is formed; the trim margins absorb truncation distortion near
-    the largest lattice sites and rounding noise near the floor.
+    series is formed; the trims (2 values low, max(2, N//6) high) absorb
+    truncation distortion near the largest lattice sites and rounding noise
+    near the floor.
 
     A caution on the ratio series: the untruncated doubled operator has the
     full geometric grid (+|-) sigma*q^n, with consecutive positive ratios
@@ -364,9 +369,7 @@ def x_eigensystem(
     condition imposed and yields the q-spaced grid.
     """
     _require_doubled(rep)
-    if margin_high is None:
-        margin_high = max(2, rep.params.N // 6)
-    return _ladder_report(rep, rep.X, floor_factor, margin_low, margin_high)
+    return _ladder_report(rep, rep.X, 2, max(2, rep.params.N // 6))
 
 
 def sector_coupled_x(rep: PhaseRep) -> np.ndarray:
@@ -415,7 +418,7 @@ def x_extension_eigensystem(rep: PhaseRep):
     accordingly so that they trim the same sites.
     """
     margin_high = 2 * max(2, rep.params.N // 6)
-    return _ladder_report(rep, sector_coupled_x(rep), 1e4, 4, margin_high)
+    return _ladder_report(rep, sector_coupled_x(rep), 4, margin_high)
 
 
 # ---------------------------------------------------------------------------

@@ -1,5 +1,10 @@
 """Tests for the classical deformed free-particle dynamics."""
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -184,3 +189,17 @@ def test_classical_report_schema():
                            "energy_drift", "slope_defect", "free_limit_dev"}
     assert report["q"] == pytest.approx(np.exp(0.1), rel=1e-15)
     assert report["max_rel_dev"] <= 1e-6
+
+
+def test_package_import_defers_scipy_integrate():
+    # scipy.integrate costs most of `import qdeform`; only integration needs it
+    import qdeform
+
+    src = str(Path(qdeform.__file__).resolve().parents[1])
+    code = "import sys, qdeform; print('scipy.integrate' in sys.modules)"
+    out = subprocess.run(
+        [sys.executable, "-c", code],
+        env={**os.environ, "PYTHONPATH": src},
+        capture_output=True, text=True, check=True,
+    )
+    assert out.stdout.strip() == "False"

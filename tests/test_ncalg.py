@@ -18,9 +18,9 @@ from qdeform.ncalg import (
     flatness_scan,
     normal_form,
 )
-from qdeform.parsing import parse_expr
+from qdeform.parsing import parse_expr, parse_rule
 from qdeform.presets import get_preset
-from qdeform.scalars import QExact
+from qdeform.scalars import QExact, QExactError
 
 manin = get_preset("manin")
 counterexample = get_preset("counterexample")
@@ -216,6 +216,35 @@ def test_counterexample_relation_degree_3():
     assert rel.render() == "x^3 + y^3 + x^2*y + x*y^2"
 
 
+# relations of flatness_scan(counterexample, 6), in report order
+COUNTEREXAMPLE_D6_RELATIONS = (
+    "x^6 - x^2*y^4",
+    "x^5*y - x*y^5",
+    "-y^6 + x^4*y^2",
+    "y^6 + x*y^5 + x^2*y^4 + x^3*y^3",
+    "x^5 - x*y^4",
+    "-y^5 + x^4*y",
+    "y^5 + x*y^4 + x^3*y^2 + x^2*y^3",
+    "x^4 - y^4",
+    "y^4 + x^3*y + x*y^3 + x^2*y^2",
+    "x^3 + y^3 + x^2*y + x*y^2",
+)
+
+
+def test_counterexample_relations_through_degree_6():
+    rep = flatness_scan(counterexample, 6)
+    assert rep.counts == (1, 2, 3, 3, 3, 3, 3)
+    assert tuple(r.render() for r in rep.relations) == COUNTEREXAMPLE_D6_RELATIONS
+    assert rep.relation_degrees() == (6, 6, 6, 6, 5, 5, 5, 4, 4, 3)
+
+
+def test_q_dependent_relation_fails_symbolic_recheck():
+    # the lift of the generic-point relation keeps 49/25 where the exact
+    # relation has q, and only the symbolic re-check catches it
+    with pytest.raises(QExactError, match="failed the symbolic re-check"):
+        flatness_scan(parse_rule("y*x -> q*x*y + x^2 + y^2"), 3)
+
+
 def test_degree_one_never_has_relations():
     for pres in (manin, counterexample, qheis, suq2):
         rep = flatness_scan(pres, 1)
@@ -225,7 +254,7 @@ def test_degree_one_never_has_relations():
 
 def test_flatness_budget_guard():
     with pytest.raises(DivergedError):
-        flatness_scan(suq2, 7, word_budget=1000)
+        flatness_scan(suq2, 7)  # 5^0 + ... + 5^7 = 97,656 words
     with pytest.raises(PresentationError):
         flatness_scan(manin, 9)
 

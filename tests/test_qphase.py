@@ -275,8 +275,30 @@ def test_ratio_deviation_improves_with_window_size():
 
 
 def test_spectrum_window_error_when_window_empty():
-    with pytest.raises(SpectrumWindowError):
+    with pytest.raises(SpectrumWindowError) as err:
         x_eigensystem(rep_for(q=1.5, N=2, sectors="both"))
+    message = str(err.value)
+    assert "2 distinct positive values" in message
+    assert "0 eigenvalues were dropped as noise" in message
+    assert "2 low and 2 high" in message
+    assert message.endswith("use a larger N")
+
+
+@pytest.mark.parametrize("route, positives, trims", [
+    (x_eigensystem, 33, "2 low and 33 high"),
+    (x_extension_eigensystem, 66, "4 low and 66 high"),
+])
+def test_spectrum_window_error_advises_smaller_n_past_noise_floor(
+        route, positives, trims):
+    # at q = 1.5 only 66 positive eigenvalues clear the noise floor at any N, so
+    # at N = 200 the trims leave nothing and a larger N would not help
+    with pytest.raises(SpectrumWindowError) as err:
+        route(rep_for(q=1.5, N=200))
+    message = str(err.value)
+    assert f"{positives} distinct positive values" in message
+    assert "668 eigenvalues were dropped as noise" in message
+    assert trims in message
+    assert "use a smaller N" in message
 
 
 # ---------------------------------------------------------------------------
@@ -353,8 +375,13 @@ def test_extension_requires_both_sectors():
 
 
 def test_extension_window_error_when_window_empty():
-    with pytest.raises(SpectrumWindowError):
+    with pytest.raises(SpectrumWindowError) as err:
         x_extension_eigensystem(rep_for(q=1.5, N=2))
+    message = str(err.value)
+    assert "4 distinct positive values" in message
+    assert "0 eigenvalues were dropped as noise" in message
+    assert "4 low and 4 high" in message
+    assert message.endswith("use a larger N")
 
 
 # ---------------------------------------------------------------------------
