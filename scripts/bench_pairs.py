@@ -1,0 +1,225 @@
+#!/usr/bin/env python3
+"""Run alternating parent/change pairs of bench/run.py and summarise them.
+
+    python3 scripts/bench_pairs.py --parent REV [--first-seed 1] \\
+        [--probe scripts/probe_exact_kernel.py] [--out BENCH_topic.json]
+
+The parent is unpacked from `git archive REV` and the change is the working
+tree's files that `git add -A` would commit, each into a temporary
+directory, so nothing is written under .git.  Every workload of
+BENCHMARK.json runs 10 pairs of its run_seconds each: pair i uses seed
+first_seed + i on both trees, the parent first when i is even and the
+change first when i is odd.
+
+For every end-to-end metric of BENCHMARK.json the output holds each side's
+median and quartiles over its runs that did not error
+(statistics.quantiles, inclusive method), the pairs the change won (ties,
+and pairs where either side errored, count for neither), the relative
+change of the medians, and a verdict:
+
+- "unresolved": the parent's interquartile range, relative to its median,
+  exceeds the metric's bound, and not every change run reads better than
+  every parent run;
+- "gain": the change won at least 9 of the 10 pairs, the medians differ
+  by more than the parent's interquartile range, and the change's
+  operations fail no more often than the parent's (no more errored runs,
+  ok_frac median not lower);
+- "within bound": the change's median is not worse than the parent's by
+  more than the bound, taken relative to the parent's median;
+- "regression": otherwise.
+
+Every run's values are kept under "runs".  With --probe, the given script is
+run from this checkout against each tree's sources (PYTHONPATH), in 3
+alternating pairs; it must print one JSON object of timings, reported as
+each side's per-key minimum and median.
+"""
+
+from __future__ import annotations
+
+import argparse
+import io
+import json
+import os
+import platform
+import shutil
+import statistics
+import subprocess
+import sys
+import tarfile
+import tempfile
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+PAIRS = 10
+PROBE_PAIRS = 3
+GAIN_WIN_SHARE = 0.9
+
+
+def export(rev: str, dest: Path) -> Path:
+    """Unpack `git archive rev` into dest and return it."""
+    data = subprocess.run(["git", "archive", rev], cwd=ROOT, capture_output=True,
+                          check=True).stdout
+    with tarfile.open(fileobj=io.BytesIO(data)) as tar:
+        tar.extractall(dest, filter="data")
+    return dest
+
+
+def export_worktree(dest: Path) -> Path:
+    """Copy the tracked and unignored files of the working tree to dest."""
+    listed = subprocess.run(
+        ["git", "ls-files", "-z", "--cached", "--others", "--exclude-standard"],
+        cwd=ROOT, capture_output=True, check=True).stdout
+    for name in filter(None, listed.split(b"\0")):
+        src = ROOT / os.fsdecode(name)
+        if src.is_file():  # a tracked file deleted in the working tree is skipped
+            target = dest / os.fsdecode(name)
+            target.parent.mkdir(parents=True, exist_ok=True)
+            shutil.copy2(src, target)
+    return dest
+
+
+def bench_once(tree: Path, workload: str, seed: int, seconds: float) -> dict:
+    cmd = [sys.executable, "bench/run.py", "--workload", workload,
+           "--seed", str(seed), "--seconds", str(seconds), "--trace", "0"]
+    proc = subprocess.run(cmd, cwd=tree, capture_output=True, text=True)
+    if proc.returncode != 0:
+        return {"error": proc.stderr.strip()[-500:]}
+    result = json.loads(proc.stdout.strip().splitlines()[-1])
+    return {name: m["value"] for name, m in result["metrics"].items()}
+
+
+def probe_once(tree: Path, probe: Path) -> dict:
+    env = dict(os.environ, PYTHONPATH=str(tree / "src"), PYTHONHASHSEED="0")
+    proc = subprocess.run([sys.executable, str(probe)], env=env, cwd=tree,
+                          capture_output=True, text=True, check=True)
+    return json.loads(proc.stdout.strip().splitlines()[-1])
+
+
+def quartiles(values: list[float]) -> dict:
+    if len(values) < 2:
+        return {"median": values[0], "q1": values[0], "q3": values[0]}
+    q1, med, q3 = statistics.quantiles(values, n=4, method="inclusive")
+    return {"median": med, "q1": q1, "q3": q3}
+
+
+def fails_more(parent_runs: list[dict], change_runs: list[dict]) -> bool:
+    """Whether the change's operations fail more often than the parent's:
+    more errored runs, or a lower ok_frac median over the runs that ended."""
+    def errors(runs):
+        return sum("error" in r for r in runs)
+
+    def ok_frac(runs):
+        ended = [r["ok_frac"] for r in runs if "error" not in r]
+        return statistics.median(ended) if ended else 0.0
+
+    return (errors(change_runs) > errors(parent_runs)
+            or ok_frac(change_runs) < ok_frac(parent_runs))
+
+
+def summarise(metric: dict, parent: list, change: list, more_failures: bool) -> dict:
+    """Verdict on one metric; parent[i] and change[i] are its values in
+    pair i, None where that side's run errored.  Each side needs at least
+    one value."""
+    lower = metric["better"] == "lower"
+
+    def better(x, y):
+        return x < y if lower else x > y
+
+    p_vals = [x for x in parent if x is not None]
+    c_vals = [y for y in change if y is not None]
+    p, c = quartiles(p_vals), quartiles(c_vals)
+    wins = sum(x is not None and y is not None and better(y, x)
+               for x, y in zip(parent, change))
+    iqr = p["q3"] - p["q1"]
+    base = p["median"]
+    worse = (c["median"] - base if lower else base - c["median"]) / base if base else 0.0
+    if base and iqr / abs(base) > metric["bound"] and not all(
+            better(y, x) for x in p_vals for y in c_vals):
+        verdict = "unresolved"
+    elif (wins >= GAIN_WIN_SHARE * len(parent) and abs(c["median"] - base) > iqr
+          and better(c["median"], base) and not more_failures):
+        verdict = "gain"
+    elif worse <= metric["bound"]:
+        verdict = "within bound"
+    else:
+        verdict = "regression"
+    return {"unit": metric["unit"], "better": metric["better"],
+            "bound": metric["bound"], "parent": p, "change": c,
+            "parent_iqr": iqr, "change_wins": wins, "pairs": len(parent),
+            "relative_change": (c["median"] - base) / base if base else None,
+            "verdict": verdict}
+
+
+def main() -> int:
+    spec = json.loads((ROOT / "BENCHMARK.json").read_text())
+    seconds = spec["run_seconds"]
+    ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    ap.add_argument("--parent", required=True, help="parent revision")
+    ap.add_argument("--first-seed", type=int, default=1)
+    ap.add_argument("--probe", type=Path)
+    ap.add_argument("--out", type=Path)
+    args = ap.parse_args()
+
+    def short(rev):
+        return subprocess.run(["git", "rev-parse", "--short", rev], cwd=ROOT,
+                              capture_output=True, text=True, check=True).stdout.strip()
+
+    revs = {"parent": short(args.parent), "change": f"working tree on {short('HEAD')}"}
+    report = {
+        "revisions": revs,
+        "settings": {"pairs": PAIRS, "first_seed": args.first_seed,
+                     "seconds": seconds, "trace": 0,
+                     "order": "parent first on even pair index"},
+        "env": {"python": platform.python_version(), "machine": platform.machine(),
+                "processor": platform.processor() or None,
+                "cpus_usable": len(os.sched_getaffinity(0))},
+        "workloads": {},
+    }
+    with tempfile.TemporaryDirectory(prefix="bench-pairs-") as tmp:
+        trees = {"parent": export(revs["parent"], Path(tmp) / "parent"),
+                 "change": export_worktree(Path(tmp) / "change")}
+
+        def ordered(i):
+            return ("parent", "change") if i % 2 == 0 else ("change", "parent")
+
+        for workload in (w["name"] for w in spec["workloads"]):
+            runs = {"parent": [], "change": []}
+            for i in range(PAIRS):
+                seed = args.first_seed + i
+                for side in ordered(i):
+                    values = bench_once(trees[side], workload, seed, seconds)
+                    runs[side].append(dict(values, seed=seed))
+                    print(f"{workload} seed {seed} {side}: {values}", file=sys.stderr)
+            metrics = {}
+            if all(any("error" not in r for r in side) for side in runs.values()):
+                more_failures = fails_more(runs["parent"], runs["change"])
+                for m in spec["end_to_end"]:
+                    name = m["name"]
+                    metrics[name] = summarise(m, [r.get(name) for r in runs["parent"]],
+                                              [r.get(name) for r in runs["change"]],
+                                              more_failures)
+            report["workloads"][workload] = {"metrics": metrics, "runs": runs}
+
+        if args.probe:
+            samples = {"parent": [], "change": []}
+            for i in range(PROBE_PAIRS):
+                for side in ordered(i):
+                    samples[side].append(probe_once(trees[side], args.probe.resolve()))
+            report["probe"] = {
+                "script": str(args.probe),
+                **{side: {key: {"min": min(s[key] for s in got),
+                                "median": statistics.median(s[key] for s in got)}
+                            for key in got[0]}
+                   for side, got in samples.items()},
+            }
+
+    text = json.dumps(report, indent=1)
+    if args.out:
+        args.out.write_text(text + "\n")
+    else:
+        print(text)
+    return 0
+
+
+if __name__ == "__main__":
+    raise SystemExit(main())

@@ -12,7 +12,6 @@ scalar ring to re-verify every discovered relation symbolically.
 
 from __future__ import annotations
 
-from bisect import bisect_right
 from dataclasses import dataclass, field
 from fractions import Fraction
 from math import comb
@@ -160,7 +159,8 @@ def normal_form_words(
     for w, c in word_terms.items():
         c = QExact._coerce(c)
         if not c.is_zero():
-            acc = pending.get(w, QExact.zero()) + c
+            acc = pending.get(w)
+            acc = c if acc is None else acc + c
             if acc.is_zero():
                 pending.pop(w, None)
             else:
@@ -172,7 +172,8 @@ def normal_form_words(
         pos = _leftmost_descent(pres, word)
         if pos is None:
             ev = _word_expvec(word, arity)
-            acc = result.get(ev, QExact.zero()) + coeff
+            acc = result.get(ev)
+            acc = coeff if acc is None else acc + coeff
             if acc.is_zero():
                 result.pop(ev, None)
             else:
@@ -188,7 +189,8 @@ def normal_form_words(
         head, tail = word[:pos], word[pos + 2:]
         for ev, c in targets:
             nw = head + _expand(ev) + tail
-            acc = pending.get(nw, QExact.zero()) + coeff * c
+            acc = pending.get(nw)
+            acc = coeff * c if acc is None else acc + coeff * c
             if acc.is_zero():
                 pending.pop(nw, None)
             else:
@@ -241,7 +243,8 @@ class NCPoly:
         self._check_same(other)
         out = dict(self.terms)
         for ev, c in other.terms.items():
-            acc = out.get(ev, QExact.zero()) + c
+            acc = out.get(ev)
+            acc = c if acc is None else acc + c
             if acc.is_zero():
                 out.pop(ev, None)
             else:
@@ -274,7 +277,8 @@ class NCPoly:
             w1 = _expand(ev1)
             for ev2, c2 in other.terms.items():
                 w = w1 + _expand(ev2)
-                acc = words.get(w, QExact.zero()) + c1 * c2
+                acc = words.get(w)
+                acc = c1 * c2 if acc is None else acc + c1 * c2
                 if acc.is_zero():
                     words.pop(w, None)
                 else:
@@ -396,7 +400,8 @@ def all_normal_forms(
 
     def _add_into(out: dict, terms: dict, coeff: QExact) -> None:
         for ev, c in terms.items():
-            acc = out.get(ev, QExact.zero()) + coeff * c
+            acc = out.get(ev)
+            acc = coeff * c if acc is None else acc + coeff * c
             if acc.is_zero():
                 out.pop(ev, None)
             else:
@@ -505,17 +510,25 @@ class FlatnessReport:
 
 def _one_step_rows(pres: Presentation, words: list[Word]):
     """One-step rewrite equations word - image = 0, as sparse rows."""
+    one = QExact.one()
+    images: dict = {}  # out-of-order pair -> ((target word, -coefficient), ...)
     rows = []
     for w in words:
         for pos in range(len(w) - 1):
-            if w[pos] <= w[pos + 1]:
+            pair = w[pos], w[pos + 1]
+            if pair[0] <= pair[1]:
                 continue
-            targets = pres.rule_for(w[pos], w[pos + 1])
-            row: dict[Word, QExact] = {w: QExact.one()}
+            image = images.get(pair)
+            if image is None:
+                image = images[pair] = tuple(
+                    (_expand(ev), -c) for ev, c in pres.rule_for(*pair)
+                )
+            row: dict[Word, QExact] = {w: one}
             head, tail = w[:pos], w[pos + 2:]
-            for ev, c in targets:
-                nw = head + _expand(ev) + tail
-                acc = row.get(nw, QExact.zero()) - c
+            for target, neg_c in image:
+                nw = head + target + tail
+                acc = row.get(nw)
+                acc = neg_c if acc is None else acc + neg_c
                 if acc.is_zero():
                     row.pop(nw, None)
                 else:
@@ -525,19 +538,16 @@ def _one_step_rows(pres: Presentation, words: list[Word]):
     return rows
 
 
-def _row_length(row: dict) -> int:
-    return max(map(len, row))
-
-
 def _lead(row: dict, order: dict):
     return min(row, key=order.__getitem__)
 
 
 def _sub_multiple(row: dict, b, pivot: dict) -> None:
     """row <- row - b*pivot in place, dropping entries that cancel."""
+    neg_b = -b
     for c, v in pivot.items():
         acc = row.get(c)
-        acc = -(b * v) if acc is None else acc - b * v
+        acc = neg_b * v if acc is None else acc + neg_b * v
         if acc.is_zero():
             row.pop(c, None)
         else:
@@ -596,10 +606,18 @@ def flatness_scan(pres: Presentation, max_degree: int) -> FlatnessReport:
     - at the generic point s = 7/5, its rows led by normal words give the
       counts per degree; back-reduced among themselves to unit leads, they
       are the discovered relations (the reduced echelon form is unique);
-    - over the exact scalar ring, one echelon form is grown in order of
-      word length, and each relation, lifted to exact coefficients, is
-      reduced against it once all rows up to its degree are in.  A nonzero
-      remainder means the lift was unsound and raises QExactError.
+    - over the exact scalar ring, all rows are echeloned once (only when a
+      relation was found) and each relation, lifted to exact coefficients,
+      is reduced against that form.  A nonzero remainder means the lift was
+      unsound and raises QExactError.
+
+    counts[d] is the number of normal words of length d that lead no
+    relation.  For a homogeneous presentation that is the dimension of the
+    degree-d part of the algebra.  For an inhomogeneous presentation that
+    collapses it is not a dimension: the commutative Weyl algebra with the
+    wrong rule dy*dx -> 2*dx*dy reports counts (0, 2, 3, 20, 35) at
+    max_degree 4, so 1 is a relation and the algebra is zero, yet the
+    counts above degree 0 are not.
     """
     if max_degree > 8:
         raise PresentationError("flatness scan supports max_degree <= 8")
@@ -619,8 +637,17 @@ def flatness_scan(pres: Presentation, max_degree: int) -> FlatnessReport:
 
     order = _column_order(pres, words)
     rows = _one_step_rows(pres, words)
+    # the rows hold few distinct coefficients: evaluate each one once
+    values: dict = {}
+
+    def at_generic(c: QExact):
+        v = values.get(c)
+        if v is None:
+            v = values[c] = c.eval_at_s(GENERIC_S)
+        return v
+
     generic = _echelon(
-        ({w: c.eval_at_s(GENERIC_S) for w, c in row.items()} for row in rows),
+        ({w: at_generic(c) for w, c in row.items()} for row in rows),
         order,
         {},
     )
@@ -649,14 +676,11 @@ def flatness_scan(pres: Presentation, max_degree: int) -> FlatnessReport:
         for col in leads
     ]
 
-    # symbolic re-check of the lifted relations against one exact echelon form
-    rows.sort(key=_row_length)
-    symbolic: dict = {}
-    added = 0
+    # symbolic re-check of the lifted relations against one exact echelon
+    # form of all rows: with inhomogeneous rules a relation of low degree can
+    # need rows of any length
+    symbolic = _echelon(rows, order, {}) if relations else {}
     for rel in sorted(relations, key=NCPoly.degree):
-        upto = bisect_right(rows, rel.degree(), key=_row_length)
-        _echelon(rows[added:upto], order, symbolic)
-        added = upto
         if _reduce({_expand(ev): c for ev, c in rel.terms.items()}, symbolic, order):
             raise QExactError(
                 f"discovered relation {rel.render()!r} failed the "

@@ -4,13 +4,25 @@ The coefficient ring is Laurent polynomials in s = q^(1/2) with Gaussian
 rational coefficients.  Keeping half-integer powers of q exact lets rewrite
 rules such as T+ x -> q x T+ + q^(-1/2) y live in one ring, and conjugation
 (q real, q >= 1) reduces to conjugating coefficients termwise.
+
+Both exact types run on plain integers:
+
+- a GaussRat is (a + b*i)/d with integers a, b and d > 0;
+- a QExact is {s-power: (re, im)}, Gaussian-integer numerators over one
+  positive integer denominator shared by all terms.
+
+Both are kept canonical, so equal values store equal integers and `==`,
+`hash` and `freeze` are value-based: no zero terms, the gcd of the
+denominator and every numerator component is 1, and zero has denominator 1.
+Arithmetic builds its results through private constructors that do not
+re-coerce, and takes a gcd only when the denominator is not 1.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import isqrt
+from math import gcd, isqrt, lcm
 
 
 class QExactError(ValueError):
@@ -93,88 +105,155 @@ def halfint_range_desc(j: HalfInt) -> list[HalfInt]:
 # ---------------------------------------------------------------------------
 # Gaussian rationals
 
+_new = object.__new__
 
-@dataclass(frozen=True)
+
+def _gauss(a: int, b: int, d: int) -> "GaussRat":
+    """GaussRat (a + b*i)/d for d > 0, reduced to canonical form."""
+    if d != 1:
+        g = gcd(a, b, d)
+        if g != 1:
+            a //= g
+            b //= g
+            d //= g
+    z = _new(GaussRat)
+    _gr_a(z, a)
+    _gr_b(z, b)
+    _gr_d(z, d)
+    return z
+
+
 class GaussRat:
-    """Gaussian rational a + b*i with exact Fraction components."""
+    """Gaussian rational re + im*i, stored as (a + b*i)/d in lowest terms.
 
-    re: Fraction
-    im: Fraction
+    Built from two ints or Fractions; `re` and `im` read back as reduced
+    Fractions.  Instances are immutable and hashable.
+    """
+
+    __slots__ = ("_a", "_b", "_d")
+
+    def __init__(self, re, im):
+        # ints and Fractions carry reduced numerator/denominator already
+        if not isinstance(re, (int, Fraction)):
+            re = Fraction(re)
+        if not isinstance(im, (int, Fraction)):
+            im = Fraction(im)
+        d = lcm(re.denominator, im.denominator)
+        # over the lcm of two reduced denominators the triple is reduced
+        _gr_a(self, re.numerator * (d // re.denominator))
+        _gr_b(self, im.numerator * (d // im.denominator))
+        _gr_d(self, d)
+
+    def __setattr__(self, name, value):
+        raise AttributeError("GaussRat is immutable")
+
+    def __delattr__(self, name):
+        raise AttributeError("GaussRat is immutable")
+
+    def __reduce__(self):
+        return GaussRat, (self.re, self.im)
+
+    @property
+    def re(self) -> Fraction:
+        return Fraction(self._a, self._d)
+
+    @property
+    def im(self) -> Fraction:
+        return Fraction(self._b, self._d)
 
     @staticmethod
     def coerce(value) -> "GaussRat":
         if isinstance(value, GaussRat):
             return value
-        if isinstance(value, (int, Fraction)):
-            return GaussRat(Fraction(value), Fraction(0))
+        if isinstance(value, int):
+            return _gauss(int(value), 0, 1)
+        if isinstance(value, Fraction):
+            return _gauss(value.numerator, 0, value.denominator)
         if isinstance(value, complex):
             raise TypeError("GaussRat is exact; build from int/Fraction instead")
         raise TypeError(f"cannot interpret {value!r} as a Gaussian rational")
 
     def __add__(self, other):
-        other = GaussRat.coerce(other)
-        return GaussRat(self.re + other.re, self.im + other.im)
+        if type(other) is not GaussRat:
+            other = GaussRat.coerce(other)
+        d, e = self._d, other._d
+        if d == e:
+            return _gauss(self._a + other._a, self._b + other._b, d)
+        return _gauss(self._a * e + other._a * d, self._b * e + other._b * d, d * e)
 
     __radd__ = __add__
 
     def __sub__(self, other):
-        other = GaussRat.coerce(other)
-        return GaussRat(self.re - other.re, self.im - other.im)
+        return self + -GaussRat.coerce(other)
 
     def __rsub__(self, other):
         return GaussRat.coerce(other) - self
 
     def __neg__(self):
-        return GaussRat(-self.re, -self.im)
+        return _gauss(-self._a, -self._b, self._d)
 
     def __mul__(self, other):
-        other = GaussRat.coerce(other)
-        return GaussRat(
-            self.re * other.re - self.im * other.im,
-            self.re * other.im + self.im * other.re,
-        )
+        if type(other) is not GaussRat:
+            other = GaussRat.coerce(other)
+        a, b, c, e = self._a, self._b, other._a, other._b
+        return _gauss(a * c - b * e, a * e + b * c, self._d * other._d)
 
     __rmul__ = __mul__
 
     def __truediv__(self, other):
-        other = GaussRat.coerce(other)
-        norm = other.re * other.re + other.im * other.im
+        if type(other) is not GaussRat:
+            other = GaussRat.coerce(other)
+        a, b, c, e = self._a, self._b, other._a, other._b
+        norm = c * c + e * e
         if norm == 0:
             raise ZeroDivisionError("division by zero GaussRat")
-        return GaussRat(
-            (self.re * other.re + self.im * other.im) / norm,
-            (self.im * other.re - self.re * other.im) / norm,
-        )
+        f = other._d
+        return _gauss((a * c + b * e) * f, (b * c - a * e) * f, self._d * norm)
 
     def __rtruediv__(self, other):
         return GaussRat.coerce(other) / self
 
+    def __eq__(self, other):
+        if type(other) is not GaussRat:
+            return NotImplemented
+        return self._a == other._a and self._b == other._b and self._d == other._d
+
+    def __hash__(self):
+        return hash((self._a, self._b, self._d))
+
+    def __repr__(self):
+        return f"GaussRat(re={self.re!r}, im={self.im!r})"
+
     def conj(self) -> "GaussRat":
-        return GaussRat(self.re, -self.im)
+        return _gauss(self._a, -self._b, self._d)
 
     def is_zero(self) -> bool:
-        return self.re == 0 and self.im == 0
+        return not (self._a or self._b)
 
     def is_one(self) -> bool:
-        return self.re == 1 and self.im == 0
+        return self._a == 1 and self._b == 0 and self._d == 1
 
     def to_complex(self) -> complex:
-        return complex(self.re) + 1j * float(self.im)
+        # int / int is correctly rounded, so this equals float(self.re) etc.
+        return complex(self._a / self._d) + 1j * (self._b / self._d)
 
     def sqrt_exact(self):
         """Exact square root for nonnegative rational squares, else None."""
-        if self.im != 0 or self.re < 0:
+        if self._b != 0 or self._a < 0:
             return None
-        num, den = self.re.numerator, self.re.denominator
+        num, den = self._a, self._d
         rn, rd = isqrt(num), isqrt(den)
         if rn * rn != num or rd * rd != den:
             return None
-        return GaussRat(Fraction(rn, rd), Fraction(0))
+        return _gauss(rn, 0, rd)
 
 
-GR_ZERO = GaussRat(Fraction(0), Fraction(0))
-GR_ONE = GaussRat(Fraction(1), Fraction(0))
-GR_I = GaussRat(Fraction(0), Fraction(1))
+# the slot setters bypass the __setattr__ that keeps instances immutable
+_gr_a, _gr_b, _gr_d = GaussRat._a.__set__, GaussRat._b.__set__, GaussRat._d.__set__
+
+GR_ZERO = GaussRat(0, 0)
+GR_ONE = GaussRat(1, 0)
+GR_I = GaussRat(0, 1)
 
 
 # ---------------------------------------------------------------------------
@@ -190,19 +269,20 @@ def _frac_str(f: Fraction, as_factor: bool) -> str:
 
 def _coeff_str(c: GaussRat, standalone: bool) -> str:
     """Canonical text for a coefficient, either alone or as a '*'-prefix."""
-    if c.im == 0:
-        return _frac_str(c.re, as_factor=not standalone)
-    if c.re == 0:
-        if c.im == 1:
+    re, im = c.re, c.im
+    if im == 0:
+        return _frac_str(re, as_factor=not standalone)
+    if re == 0:
+        if im == 1:
             return "i"
-        if c.im == -1:
+        if im == -1:
             return "-i"
-        sign = "-" if c.im < 0 else ""
-        return f"{sign}{_frac_str(abs(c.im), as_factor=True)}*i"
-    op = "+" if c.im > 0 else "-"
-    mag = abs(c.im)
+        sign = "-" if im < 0 else ""
+        return f"{sign}{_frac_str(abs(im), as_factor=True)}*i"
+    op = "+" if im > 0 else "-"
+    mag = abs(im)
     im_part = "i" if mag == 1 else f"{_frac_str(mag, as_factor=False)}*i"
-    return f"({_frac_str(c.re, as_factor=False)}{op}{im_part})"
+    return f"({_frac_str(re, as_factor=False)}{op}{im_part})"
 
 
 def _power_str(spow: int):
@@ -219,13 +299,73 @@ def _power_str(spow: int):
     return f"q^({spow}/2)"
 
 
+def _qx(num: dict, den: int) -> "QExact":
+    """QExact from a numerator dict and denominator already canonical."""
+    z = _new(QExact)
+    _qx_num(z, num)
+    _qx_den(z, den)
+    return z
+
+
+def _qx_reduced(num: dict, den: int) -> "QExact":
+    """QExact from zero-free numerators, dividing out their common factor."""
+    if den != 1:
+        g = den
+        for a, b in num.values():
+            g = gcd(g, a, b)
+            if g == 1:
+                break
+        else:
+            if not num:
+                return _qx(num, 1)
+            num = {k: (a // g, b // g) for k, (a, b) in num.items()}
+            den //= g
+    return _qx(num, den)
+
+
+def _qx_mono(k: int, c: GaussRat) -> "QExact":
+    if c._a or c._b:
+        return _qx({k: (c._a, c._b)}, c._d)
+    return _qx({}, 1)
+
+
+def _qx_combine(x: "QExact", y: "QExact", sign: int) -> "QExact":
+    """x + sign*y over the least common denominator."""
+    d1, d2 = x._den, y._den
+    if d1 == d2:
+        out = dict(x._num)
+        m, den = sign, d1
+    else:
+        g = gcd(d1, d2)
+        m1 = d2 // g
+        out = {k: (a * m1, b * m1) for k, (a, b) in x._num.items()}
+        m, den = sign * (d1 // g), d1 * m1
+    get = out.get
+    for k, (a, b) in y._num.items():
+        prev = get(k)
+        if prev is None:
+            out[k] = (a * m, b * m)
+        else:
+            a = prev[0] + a * m
+            b = prev[1] + b * m
+            if a or b:
+                out[k] = (a, b)
+            else:
+                del out[k]
+    if den == 1:
+        return _qx(out, 1)
+    return _qx_reduced(out, den)
+
+
 class QExact:
     """Exact Laurent polynomial in s = q^(1/2) over Gaussian rationals.
 
-    Instances are treated as immutable; all operations return new objects.
+    Stored as {s-power: (re, im)} integer numerators over one shared positive
+    denominator, in the canonical form of the module docstring.  Instances
+    are immutable; all operations return new objects.
     """
 
-    __slots__ = ("_terms",)
+    __slots__ = ("_num", "_den")
 
     def __init__(self, terms=None):
         clean: dict[int, GaussRat] = {}
@@ -234,44 +374,57 @@ class QExact:
                 c = GaussRat.coerce(c)
                 if not c.is_zero():
                     clean[int(k)] = c
-        object.__setattr__(self, "_terms", clean)
+        # over the lcm of reduced denominators the numerators are coprime to it
+        den = lcm(*(c._d for c in clean.values()))
+        _qx_num(self, {k: (c._a * (den // c._d), c._b * (den // c._d))
+                       for k, c in clean.items()})
+        _qx_den(self, den)
+
+    def __setattr__(self, name, value):
+        raise AttributeError("QExact is immutable")
+
+    def __delattr__(self, name):
+        raise AttributeError("QExact is immutable")
+
+    def __reduce__(self):
+        return QExact, (self.terms,)
 
     # -- constructors -------------------------------------------------
 
     @classmethod
     def zero(cls):
-        return cls()
+        return _qx({}, 1)
 
     @classmethod
     def one(cls):
-        return cls({0: GR_ONE})
+        return _qx({0: (1, 0)}, 1)
 
     @classmethod
     def i(cls):
-        return cls({0: GR_I})
+        return _qx({0: (0, 1)}, 1)
 
     @classmethod
     def rational(cls, value):
-        return cls({0: GaussRat.coerce(value)})
+        return _qx_mono(0, GaussRat.coerce(value))
 
     @classmethod
     def gauss(cls, g: GaussRat):
-        return cls({0: g})
+        return _qx_mono(0, g)
 
     @classmethod
     def s_power(cls, k: int, coeff=1):
-        return cls({k: GaussRat.coerce(coeff)})
+        return _qx_mono(int(k), GaussRat.coerce(coeff))
 
     @classmethod
     def q_power(cls, k, coeff=1):
         """q^k for k in (1/2)Z; the s-power 2k must be an integer."""
         k = HalfInt.coerce(k)
-        return cls({k.twice: GaussRat.coerce(coeff)})
+        return _qx_mono(k.twice, GaussRat.coerce(coeff))
 
     @classmethod
     def lam(cls):
         """The deformation scale q - 1/q."""
-        return cls({2: GR_ONE, -2: -GR_ONE})
+        return _qx({2: (1, 0), -2: (-1, 0)}, 1)
 
     # -- ring structure -----------------------------------------------
 
@@ -279,50 +432,58 @@ class QExact:
     def _coerce(value) -> "QExact":
         if isinstance(value, QExact):
             return value
-        if isinstance(value, (int, Fraction)):
-            return QExact.rational(value)
-        if isinstance(value, GaussRat):
-            return QExact.gauss(value)
+        if isinstance(value, (int, Fraction, GaussRat)):
+            return _qx_mono(0, GaussRat.coerce(value))
         raise TypeError(f"cannot interpret {value!r} as a QExact scalar")
 
     @property
     def terms(self) -> dict[int, GaussRat]:
-        return dict(self._terms)
+        den = self._den
+        return {k: _gauss(a, b, den) for k, (a, b) in self._num.items()}
 
     def __add__(self, other):
-        other = QExact._coerce(other)
-        out = dict(self._terms)
-        for k, c in other._terms.items():
-            acc = out.get(k, GR_ZERO) + c
-            if acc.is_zero():
-                out.pop(k, None)
-            else:
-                out[k] = acc
-        return QExact(out)
+        if type(other) is not QExact:
+            other = QExact._coerce(other)
+        return _qx_combine(self, other, 1)
 
     __radd__ = __add__
 
     def __sub__(self, other):
-        return self + (-QExact._coerce(other))
+        if type(other) is not QExact:
+            other = QExact._coerce(other)
+        return _qx_combine(self, other, -1)
 
     def __rsub__(self, other):
-        return QExact._coerce(other) + (-self)
+        return _qx_combine(QExact._coerce(other), self, -1)
 
     def __neg__(self):
-        return QExact({k: -c for k, c in self._terms.items()})
+        return _qx({k: (-a, -b) for k, (a, b) in self._num.items()}, self._den)
 
     def __mul__(self, other):
-        other = QExact._coerce(other)
-        out: dict[int, GaussRat] = {}
-        for k1, c1 in self._terms.items():
-            for k2, c2 in other._terms.items():
+        if type(other) is not QExact:
+            other = QExact._coerce(other)
+        out: dict[int, tuple[int, int]] = {}
+        get = out.get
+        items = other._num.items()
+        for k1, (a1, b1) in self._num.items():
+            for k2, (a2, b2) in items:
                 k = k1 + k2
-                acc = out.get(k, GR_ZERO) + c1 * c2
-                if acc.is_zero():
-                    out.pop(k, None)
+                re = a1 * a2 - b1 * b2
+                im = a1 * b2 + b1 * a2
+                prev = get(k)
+                if prev is None:
+                    out[k] = (re, im)
                 else:
-                    out[k] = acc
-        return QExact(out)
+                    re += prev[0]
+                    im += prev[1]
+                    if re or im:
+                        out[k] = (re, im)
+                    else:
+                        del out[k]
+        den = self._den * other._den
+        if den == 1:
+            return _qx(out, 1)
+        return _qx_reduced(out, den)
 
     __rmul__ = __mul__
 
@@ -338,51 +499,56 @@ class QExact:
         return acc
 
     def __eq__(self, other):
-        try:
-            other = QExact._coerce(other)
-        except TypeError:
-            return NotImplemented
-        return self._terms == other._terms
+        if type(other) is not QExact:
+            try:
+                other = QExact._coerce(other)
+            except TypeError:
+                return NotImplemented
+        return self._den == other._den and self._num == other._num
 
     def freeze(self):
-        return tuple(
-            (k, c.re.numerator, c.re.denominator, c.im.numerator, c.im.denominator)
-            for k, c in sorted(self._terms.items())
-        )
+        """(s-power, re num, re den, im num, im den) per term, sorted."""
+        den, num = self._den, self._num
+        out = []
+        for k in sorted(num):
+            a, b = num[k]
+            ga, gb = gcd(a, den), gcd(b, den)
+            out.append((k, a // ga, den // ga, b // gb, den // gb))
+        return tuple(out)
 
     def __hash__(self):
-        return hash(self.freeze())
+        return hash((self._den, frozenset(self._num.items())))
 
     # -- predicates ----------------------------------------------------
 
     def is_zero(self) -> bool:
-        return not self._terms
+        return not self._num
 
     def is_one(self) -> bool:
-        return self._terms == {0: GR_ONE}
+        return self._den == 1 and self._num == {0: (1, 0)}
 
     def is_monomial(self) -> bool:
-        return len(self._terms) == 1
+        return len(self._num) == 1
 
     def monomial(self):
         """(s-power, coefficient) if the scalar is a single term, else None."""
-        if len(self._terms) != 1:
+        if len(self._num) != 1:
             return None
-        [(k, c)] = self._terms.items()
-        return k, c
+        [(k, (a, b))] = self._num.items()
+        return k, _gauss(a, b, self._den)
 
     # -- involutions and evaluation -------------------------------------
 
     def conj(self) -> "QExact":
         """Conjugation: q (hence s) is real and fixed, coefficients conjugate."""
-        return QExact({k: c.conj() for k, c in self._terms.items()})
+        return _qx({k: (a, -b) for k, (a, b) in self._num.items()}, self._den)
 
     def inverse(self) -> "QExact":
         mono = self.monomial()
         if mono is None:
             raise QExactError("only monomial scalars c*s^k are invertible exactly")
         k, c = mono
-        return QExact({-k: GR_ONE / c})
+        return _qx_mono(-k, GR_ONE / c)
 
     def sqrt_monomial(self) -> "QExact":
         """Square root of a monomial c*s^(2k) with c a rational square."""
@@ -393,15 +559,16 @@ class QExact:
         root = c.sqrt_exact()
         if root is None:
             raise QExactError(f"coefficient {c} is not a rational square")
-        return QExact({k // 2: root})
+        return _qx_mono(k // 2, root)
 
     def eval(self, q: float) -> complex:
         if not q > 0.0:
             raise QExactError("evaluation requires a real q > 0")
         s = q ** 0.5
+        den = self._den
         acc = 0j
-        for k, c in self._terms.items():
-            acc += c.to_complex() * s ** k
+        for k, (a, b) in self._num.items():
+            acc += (complex(a / den) + 1j * (b / den)) * s ** k
         return acc
 
     def eval_at_s(self, s: Fraction) -> GaussRat:
@@ -409,19 +576,28 @@ class QExact:
         s = Fraction(s)
         if s <= 0:
             raise QExactError("generic evaluation point must be positive")
-        acc = GR_ZERO
-        for k, c in self._terms.items():
-            acc = acc + c * GaussRat(s ** k, Fraction(0))
-        return acc
+        if not self._num:
+            return GR_ZERO
+        n, m = s.numerator, s.denominator
+        # s^k = n^k m^(-k); scaling by n^lo m^hi makes every exponent >= 0
+        lo = max(0, -min(self._num))
+        hi = max(0, max(self._num))
+        re = im = 0
+        for k, (a, b) in self._num.items():
+            w = n ** (k + lo) * m ** (hi - k)
+            re += a * w
+            im += b * w
+        return _gauss(re, im, self._den * n ** lo * m ** hi)
 
     # -- rendering -------------------------------------------------------
 
     def render(self) -> str:
-        if not self._terms:
+        if not self._num:
             return "0"
+        terms = self.terms
         parts = []
-        for k in sorted(self._terms):
-            c = self._terms[k]
+        for k in sorted(terms):
+            c = terms[k]
             pstr = _power_str(k)
             if pstr is None:
                 parts.append(_coeff_str(c, standalone=True))
@@ -443,6 +619,9 @@ class QExact:
 
     def __repr__(self):
         return f"QExact[{self.render()}]"
+
+
+_qx_num, _qx_den = QExact._num.__set__, QExact._den.__set__
 
 
 def lambda_sym() -> QExact:
@@ -469,8 +648,8 @@ def q_number(n, r: int) -> QExact:
         )
     k = a // b
     if k > 0:
-        return QExact({j * b: GR_ONE for j in range(k)})
-    return QExact({(k + j) * b: -GR_ONE for j in range(-k)})
+        return _qx({j * b: (1, 0) for j in range(k)}, 1)
+    return _qx({(k + j) * b: (-1, 0) for j in range(-k)}, 1)
 
 
 def q_number_value(n, r: int, q: float) -> float:

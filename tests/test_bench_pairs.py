@@ -1,0 +1,62 @@
+"""Verdicts of scripts/bench_pairs.py, the pair-run summary of bench/run.py."""
+
+import importlib.util
+from pathlib import Path
+
+_SCRIPT = Path(__file__).resolve().parent.parent / "scripts" / "bench_pairs.py"
+_spec = importlib.util.spec_from_file_location("bench_pairs", _SCRIPT)
+bench_pairs = importlib.util.module_from_spec(_spec)
+_spec.loader.exec_module(bench_pairs)
+
+WALL = {"name": "wall_s", "unit": "s", "better": "lower", "bound": 0.25}
+
+
+def verdict(parent, change, more_failures=False):
+    return bench_pairs.summarise(WALL, parent, change, more_failures)["verdict"]
+
+
+def test_gain_when_change_wins_every_pair():
+    parent = [5.0, 5.2, 4.9, 5.1, 5.0, 5.3, 4.8, 5.1, 5.0, 5.2]
+    change = [0.8] * 10
+    assert verdict(parent, change) == "gain"
+
+
+def test_wide_parent_spread_is_unresolved_even_with_median_inside_bound():
+    # parent IQR/median 0.4 > 0.25; the change's median is 10 % worse
+    parent = [1.0, 1.0, 1.0, 0.8, 0.8, 1.2, 1.2, 1.2, 0.7, 1.3]
+    change = [1.1] * 10
+    result = bench_pairs.summarise(WALL, parent, change, False)
+    assert result["parent_iqr"] / result["parent"]["median"] > WALL["bound"]
+    assert result["verdict"] == "unresolved"
+
+
+def test_wide_parent_spread_resolved_when_every_change_run_is_better():
+    parent = [1.0, 1.0, 1.0, 0.8, 0.8, 1.2, 1.2, 1.2, 0.7, 1.3]
+    change = [0.5] * 10
+    assert verdict(parent, change) == "gain"
+
+
+def test_errored_pairs_count_against_the_gain_share():
+    # the change wins all 8 pairs where both sides ran, 8 of 10 run
+    parent = [5.0] * 10
+    change = [0.8] * 8 + [None, None]
+    assert verdict(parent, change) == "within bound"
+    assert bench_pairs.summarise(WALL, parent, change, False)["change_wins"] == 8
+
+
+def test_no_gain_when_more_operations_fail():
+    parent = [5.0] * 10
+    change = [0.8] * 10
+    assert verdict(parent, change, more_failures=True) == "within bound"
+
+
+def test_regression_beyond_bound_on_a_steady_parent():
+    assert verdict([1.0] * 10, [1.3] * 10) == "regression"
+
+
+def test_fails_more_reads_errors_and_ok_frac():
+    ran = [{"ok_frac": 0.875}] * 3
+    assert not bench_pairs.fails_more(ran, ran)
+    assert bench_pairs.fails_more(ran, ran[:2] + [{"error": "Traceback"}])
+    assert bench_pairs.fails_more(ran, [{"ok_frac": 0.75}] * 3)
+    assert not bench_pairs.fails_more(ran, [{"ok_frac": 1.0}] * 3)

@@ -245,6 +245,33 @@ def test_q_dependent_relation_fails_symbolic_recheck():
         flatness_scan(parse_rule("y*x -> q*x*y + x^2 + y^2"), 3)
 
 
+def _weyl_wrong_dydx():
+    # commutative Weyl algebra x < y < dx < dy with a wrong dy*dx -> 2*dx*dy;
+    # its rules are inhomogeneous (dx*x -> 1 + x*dx)
+    one = QExact.one()
+    return Presentation(
+        generators=("x", "y", "dx", "dy"),
+        rules={
+            (1, 0): (((1, 1, 0, 0), one),),
+            (2, 0): (((0, 0, 0, 0), one), ((1, 0, 1, 0), one)),
+            (2, 1): (((0, 1, 1, 0), one),),
+            (3, 0): (((1, 0, 0, 1), one),),
+            (3, 1): (((0, 0, 0, 0), one), ((0, 1, 0, 1), one)),
+            (3, 2): (((0, 0, 1, 1), QExact.rational(2)),),
+        },
+        n_coords=2,
+        name="weyl-wrong",
+    )
+
+
+def test_inhomogeneous_relation_rechecked_against_all_rows():
+    # dx = dy = 0 follows from rows of length 3 only: reducing the degree-1
+    # relations against the rows of length <= 1 wrongly failed the re-check
+    rep = flatness_scan(_weyl_wrong_dydx(), 3)
+    assert tuple(r.render() for r in rep.relations) == ("dx", "dy")
+    assert rep.counts == (1, 2, 10, 20)
+
+
 def test_degree_one_never_has_relations():
     for pres in (manin, counterexample, qheis, suq2):
         rep = flatness_scan(pres, 1)

@@ -1,5 +1,6 @@
 """Exact scalar ring: oracles frozen first, then property checks."""
 
+import pickle
 from fractions import Fraction
 
 import pytest
@@ -250,3 +251,89 @@ def test_hash_consistency():
     b = QExact.one() + QExact.q_power(1)
     assert a == b and hash(a) == hash(b)
     assert len({a, b}) == 1
+
+
+# ---------------------------------------------------------------------------
+# the integer kernel against an independent oracle: coefficients as plain
+# Fraction pairs, products by convolution written out here
+
+
+def _fraction_terms(x: QExact) -> dict[int, tuple[Fraction, Fraction]]:
+    return {k: (c.re, c.im) for k, c in x.terms.items()}
+
+
+def _oracle_sum(a, b):
+    out = dict(a)
+    for k, (re, im) in b.items():
+        r0, i0 = out.get(k, (Fraction(0), Fraction(0)))
+        out[k] = (r0 + re, i0 + im)
+    return {k: v for k, v in out.items() if v != (0, 0)}
+
+
+def _oracle_product(a, b):
+    out: dict[int, tuple[Fraction, Fraction]] = {}
+    for k1, (r1, i1) in a.items():
+        for k2, (r2, i2) in b.items():
+            r0, i0 = out.get(k1 + k2, (Fraction(0), Fraction(0)))
+            out[k1 + k2] = (r0 + r1 * r2 - i1 * i2, i0 + r1 * i2 + i1 * r2)
+    return {k: v for k, v in out.items() if v != (0, 0)}
+
+
+@settings(max_examples=100, deadline=None)
+@given(qexacts, qexacts)
+def test_kernel_matches_fraction_convolution(a, b):
+    fa, fb = _fraction_terms(a), _fraction_terms(b)
+    assert _fraction_terms(a * b) == _oracle_product(fa, fb)
+    assert _fraction_terms(a + b) == _oracle_sum(fa, fb)
+    assert _fraction_terms(a - b) == _oracle_sum(
+        fa, {k: (-re, -im) for k, (re, im) in fb.items()})
+
+
+def _half():
+    return QExact.rational(Fraction(1, 2))
+
+
+CANONICAL_CASES = [
+    ("1/2 + 1/2", lambda: _half() + _half(), lambda: QExact.one()),
+    ("3*(1/6)", lambda: 3 * QExact.rational(Fraction(1, 6)), _half),
+    ("i*i", lambda: QExact.i() * QExact.i(), lambda: QExact.rational(-1)),
+    ("x - x", lambda: (QExact.q_power(1, coeff=Fraction(2, 3)) + _half())
+     - (QExact.q_power(1, coeff=Fraction(2, 3)) + _half()), QExact.zero),
+    ("(2/3)q*(3/2)", lambda: QExact.q_power(1, coeff=Fraction(2, 3))
+     * Fraction(3, 2), lambda: QExact.q_power(1)),
+]
+
+
+@pytest.mark.parametrize("built,direct", [c[1:] for c in CANONICAL_CASES],
+                         ids=[c[0] for c in CANONICAL_CASES])
+def test_canonical_form_is_route_independent(built, direct):
+    x, y = built(), direct()
+    assert x == y
+    assert hash(x) == hash(y)
+    assert x.freeze() == y.freeze()
+    assert x.render() == y.render()
+
+
+def test_gaussrat_canonical_form():
+    half = GaussRat(Fraction(1, 2), Fraction(0))
+    assert half + half == GR_ONE and hash(half + half) == hash(GR_ONE)
+    assert GR_I * GR_I == GaussRat(-1, 0)
+    assert GaussRat(Fraction(2, 4), Fraction(-3, 6)).re == Fraction(1, 2)
+    quotient = GaussRat(Fraction(1), Fraction(1)) / GaussRat(Fraction(1), Fraction(-1))
+    assert quotient == GR_I
+    assert (GR_ONE / GaussRat(Fraction(-2, 3), Fraction(0))).re == Fraction(-3, 2)
+
+
+def test_exact_scalars_reject_attribute_assignment():
+    g = GaussRat(Fraction(1, 3), Fraction(2))
+    x = QExact.q_power(1) + 1
+    assert pickle.loads(pickle.dumps(g)) == g
+    assert pickle.loads(pickle.dumps(x)) == x
+    for obj, name in ((g, "re"), (g, "im"), (g, "_a"), (g, "extra"),
+                      (x, "terms"), (x, "_num"), (x, "extra")):
+        with pytest.raises(AttributeError):
+            setattr(obj, name, 0)
+    with pytest.raises(AttributeError):
+        del g.re
+    assert g == GaussRat(Fraction(1, 3), Fraction(2))
+    assert x == QExact.one() + QExact.q_power(1)
