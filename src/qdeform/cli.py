@@ -32,7 +32,7 @@ from .qphase import (
     build_phase_rep,
     expected_hamiltonian_spectrum,
     hamiltonian_spectrum,
-    phase_report,
+    phase_payload,
     reconstruct_pxlambda,
     relation_residuals,
     x_eigensystem,
@@ -241,28 +241,23 @@ def _phase_params(args) -> PhaseParams:
 
 
 def _cmd_phase(args, out: _Output) -> int:
-    try:
-        params = _phase_params(args)
-    except ValueError as exc:
-        return _fail(str(exc), 2)
+    # invalid parameters (ValueError) and empty spectral windows
+    # (SpectrumWindowError) reach main's exit codes 2 and 1
+    params = _phase_params(args)
+    rep = build_phase_rep(params)
     if args.mode == "rep":
-        rep = build_phase_rep(params)
         residuals = relation_residuals(rep)
         tol = args.tol if args.tol is not None else 1e-12
         if args.json:
-            out.emit_json(phase_report(params, with_spectrum=False))
+            out.emit_json(phase_payload(params, residuals))
         else:
             for key, value in residuals.items():
                 out.emit(f"residual {key}: {_f(value)}")
         return 1 if max(residuals.values()) > tol else 0
     if args.mode == "xspec":
-        rep = build_phase_rep(params)
-        try:
-            report, _ = x_eigensystem(rep)
-        except (ValueError, SpectrumWindowError) as exc:
-            return _fail(str(exc), 2 if isinstance(exc, ValueError) else 1)
+        report, _ = x_eigensystem(rep)
         if args.json:
-            out.emit_json(phase_report(params))
+            out.emit_json(phase_payload(params, relation_residuals(rep), report))
         elif args.csv:
             out.emit("eigenvalue,ratio")
             kept = report.kept
@@ -276,11 +271,7 @@ def _cmd_phase(args, out: _Output) -> int:
             out.emit(f"unitarity defect: {_f(report.unitarity_defect)}")
         return 0
     if args.mode == "qft":
-        rep = build_phase_rep(params)
-        try:
-            report, vectors = x_eigensystem(rep)
-        except (ValueError, SpectrumWindowError) as exc:
-            return _fail(str(exc), 2 if isinstance(exc, ValueError) else 1)
+        report, vectors = x_eigensystem(rep)
         if args.json:
             out.emit_json({
                 "eigenvalues": [float(v) for v in report.eigenvalues],
@@ -295,7 +286,6 @@ def _cmd_phase(args, out: _Output) -> int:
                                   f"{_f(abs(v.imag))}j" for v in row))
         return 0
     if args.mode == "spectrum":
-        rep = build_phase_rep(params)
         spectrum = hamiltonian_spectrum(rep)
         expected = expected_hamiltonian_spectrum(params)
         defect = float(np.max(np.abs(spectrum - expected)))
@@ -311,7 +301,6 @@ def _cmd_phase(args, out: _Output) -> int:
             out.emit(f"levels: {len(spectrum)}  defect vs closed form: {_f(defect)}")
         return 1 if defect > 0 else 0
     # reconstruct
-    rep = build_phase_rep(params)
     rec = reconstruct_pxlambda(rep)
     tol = args.tol if args.tol is not None else 1e-10
     if args.json:

@@ -1,28 +1,30 @@
 """Truncated Hilbert-space model of the q-deformed phase space.
 
-The window carries basis labels n = -N..N (per sector).  P is diagonal with
-entries sigma*s0*q^n, U is the truncated shift n -> n-1, and X is the
-hermitean tridiagonal with entries i*q^(-n+1/2)/lambda above and
--i*q^(-n-1/2)/lambda below the diagonal (lambda = q - 1/q), scaled by the
-sector sign and 1/s0.  All defining relations hold exactly on the interior
-of the window; boundary rows and columns carry pure truncation artifacts,
-so every residual here is restricted to rows and columns with
-|n| <= N - margin and normalized entrywise against the magnitudes summed
-into that entry (backward error).  The normalization matters because X
-entries reach q^N and products of the reconstructed operators cancel
-across many orders of magnitude; double precision cannot produce absolute
-defects below machine epsilon times those scales, while any genuine
-algebra error would still register at order one.
+The window carries basis labels n = -N..N per sector sigma = +-1; one block
+is stored.  P is diagonal with entries s0*q^n, U is the truncated shift
+n -> n-1, X is the hermitean tridiagonal with entries i*q^(-n+1/2)/lambda
+above and -i*q^(-n-1/2)/lambda below the diagonal (lambda = q - 1/q),
+scaled by 1/s0, and sector sigma acts as (sigma P, sigma X, U).  All
+defining relations hold exactly on the interior of the window; boundary
+rows and columns carry pure truncation artifacts, so every residual here
+is restricted to rows and columns with |n| <= N - margin and normalized
+entrywise against the magnitudes summed into that entry (backward error).
+The normalization matters because X entries reach q^N and products of the
+reconstructed operators cancel across many orders of magnitude; double
+precision cannot produce absolute defects below machine epsilon times
+those scales, while any genuine algebra error would still register at
+order one.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import log
+from math import isfinite, log
 
 import numpy as np
 
-SECTORS = ("plus", "minus", "both")
+# the sign sigma of each sector present, in basis order
+SECTOR_SIGNS = {"plus": (1,), "minus": (-1,), "both": (1, -1)}
 
 # positive eigenvalues below FLOOR_FACTOR * max|eigenvalue| * eps are noise
 FLOOR_FACTOR = 1e4
@@ -40,18 +42,27 @@ class PhaseParams:
     sectors: str = "both"
 
     def __post_init__(self):
-        if not self.q > 1.0:
-            raise ValueError("deformation parameter must satisfy q > 1")
+        if not (self.q > 1.0 and isfinite(self.q)):
+            raise ValueError("deformation parameter must be finite and satisfy q > 1")
+        if not isinstance(self.N, (int, np.integer)):
+            raise ValueError("window half-width must be an integer")
         if self.N < 2:
             raise ValueError("window half-width must be at least 2")
         if not 1.0 <= self.s0 < self.q:
             raise ValueError("scale eigenvalue must lie in [1, q)")
-        if self.sectors not in SECTORS:
-            raise ValueError(f"sectors must be one of {SECTORS}")
+        if self.sectors not in SECTOR_SIGNS:
+            raise ValueError(f"sectors must be one of {tuple(SECTOR_SIGNS)}")
+
+
+def _block_interior(N: int, margin: int = 2) -> np.ndarray:
+    return np.abs(np.arange(-N, N + 1)) <= N - margin
 
 
 @dataclass(frozen=True)
 class PhaseRep:
+    """`P`, `X`, `U` are the sigma = +1 block; `labels`, `dim` and `interior`
+    describe the full space of the sectors present, in the order of `full`."""
+
     params: PhaseParams
     labels: tuple[tuple[int, int], ...]  # (n, sigma) per basis vector
     P: np.ndarray
@@ -60,58 +71,54 @@ class PhaseRep:
 
     @property
     def dim(self) -> int:
-        return self.P.shape[0]
+        return len(self.labels)
 
     def interior(self, margin: int = 2) -> np.ndarray:
-        limit = self.params.N - margin
-        return np.array([abs(n) <= limit for n, _ in self.labels])
+        sectors = len(SECTOR_SIGNS[self.params.sectors])
+        return np.tile(_block_interior(self.params.N, margin), sectors)
 
-
-def _sector_matrices(q: float, N: int, s0: float, sigma: int):
-    dim = 2 * N + 1
-    n = np.arange(-N, N + 1, dtype=float)
-    lam = q - 1.0 / q
-    P = np.diag(sigma * s0 * np.power(q, n)).astype(complex)
-    U = np.zeros((dim, dim), dtype=complex)
-    for i in range(1, dim):
-        U[i - 1, i] = 1.0
-    X = np.zeros((dim, dim), dtype=complex)
-    inv_s0 = 1.0 / s0
-    for i in range(dim):
-        # column label n[i]; the same float exponent -n-0.5 is produced for
-        # the (i, i+1) upper and (i+1, i) lower partners, so X is hermitean
-        # bit for bit
-        if i - 1 >= 0:
-            X[i - 1, i] = sigma * 1j * np.power(q, -n[i] + 0.5) / lam * inv_s0
-        if i + 1 < dim:
-            X[i + 1, i] = -sigma * 1j * np.power(q, -n[i] - 0.5) / lam * inv_s0
-    labels = tuple((int(v), sigma) for v in n)
-    return labels, P, X, U
+    def full(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Block-diagonal (P, X, U) on the sectors present.  A minus block is
+        0 - block: unlike -block it keeps zeros +0.0, bit for bit as a sector
+        built with its own sign."""
+        d = self.P.shape[0]
+        out = tuple(np.zeros((self.dim, self.dim), dtype=complex) for _ in range(3))
+        for k, sigma in enumerate(SECTOR_SIGNS[self.params.sectors]):
+            at = slice(k * d, (k + 1) * d)
+            for M, block in zip(out, (self.P, self.X)):
+                M[at, at] = block if sigma > 0 else 0.0 - block
+            out[2][at, at] = self.U
+        return out
 
 
 def build_phase_rep(params: PhaseParams) -> PhaseRep:
-    blocks = []
-    if params.sectors in ("plus", "both"):
-        blocks.append(_sector_matrices(params.q, params.N, params.s0, +1))
-    if params.sectors in ("minus", "both"):
-        blocks.append(_sector_matrices(params.q, params.N, params.s0, -1))
-    labels = tuple(l for b in blocks for l in b[0])
-    dims = [len(b[0]) for b in blocks]
-    total = sum(dims)
-    P = np.zeros((total, total), dtype=complex)
-    X = np.zeros((total, total), dtype=complex)
-    U = np.zeros((total, total), dtype=complex)
-    at = 0
-    for (_, Pb, Xb, Ub), d in zip(blocks, dims):
-        P[at:at + d, at:at + d] = Pb
-        X[at:at + d, at:at + d] = Xb
-        U[at:at + d, at:at + d] = Ub
-        at += d
-    return PhaseRep(params=params, labels=labels, P=P, X=X, U=U)
+    q, N, s0 = params.q, params.N, params.s0
+    dim = 2 * N + 1
+    n = np.arange(-N, N + 1, dtype=float)
+    # bond (i-1, i) joins column labels n[i-1] and n[i]; the upper entry of
+    # column n[i] and the lower entry of column n[i-1] share the exponent
+    # -n[i] + 1/2, so X is hermitean bit for bit
+    bond = np.power(q, -n[1:] + 0.5) / (q - 1.0 / q) * (1.0 / s0)
+    i = np.arange(1, dim)
+    X = np.zeros((dim, dim), dtype=complex)
+    X.imag[i - 1, i] = bond
+    X.imag[i, i - 1] = -bond
+    labels = tuple((k, sigma) for sigma in SECTOR_SIGNS[params.sectors]
+                   for k in range(-N, N + 1))
+    return PhaseRep(params=params, labels=labels,
+                    P=np.diag(s0 * np.power(q, n)).astype(complex), X=X,
+                    U=np.eye(dim, k=1, dtype=complex))
 
 
 # ---------------------------------------------------------------------------
 # residuals
+#
+# Both residual families run once, on the plus block.  Sector sigma is
+# (sigma P, sigma X, sigma p) with U and Lambda fixed, and each defect is
+# homogeneous in sigma: the minus block's is an exact copy (xp_u, pxq,
+# u_unitary, lambda_conj) or an exact negation (the rest) of the plus
+# block's, as rounding is symmetric under sign.  The magnitude budgets do
+# not depend on sigma, so the maximum over the sectors is the block's value.
 
 
 def _backward_residual(defect: np.ndarray, scale: np.ndarray, mask: np.ndarray) -> float:
@@ -141,12 +148,12 @@ def relation_residuals(rep: PhaseRep) -> dict[str, float]:
     """Backward-relative interior residuals of the five defining properties."""
     q = rep.params.q
     P, X, U = rep.P, rep.X, rep.U
-    mask = rep.interior()
+    mask = _block_interior(rep.params.N)
     sq = q ** 0.5
     XP, PX = X @ P, P @ X
     UX, XU = U @ X, X @ U
     UP, PU = U @ P, P @ U
-    eye = np.eye(rep.dim)
+    eye = np.eye(P.shape[0])
     return {
         "xp_u": _backward_residual(
             sq * XP - PX / sq - 1j * U,
@@ -166,30 +173,26 @@ def relation_residuals(rep: PhaseRep) -> dict[str, float]:
 # reconstruction of p, x, Lambda
 
 
-def _sector_p(q: float, N: int, s0: float, sigma: int) -> np.ndarray:
-    """Band family p[n+d, n] = C_d * sigma * s0 * q^n with C_0 = 1,
+def _sector_p(q: float, N: int, s0: float) -> np.ndarray:
+    """Band family p[n+d, n] = C_d * s0 * q^n of the plus sector with C_0 = 1,
     C_d = (-1)^(d-1) q^(d/2) for d >= 1 and C_d = (-1)^d q^(d/2) for d <= -1.
 
     This is the unique (up to one imaginary gauge parameter, fixed to zero)
     solution of the averaging identity P = (p + p^dagger)/2 together with
     the conjugation p^dagger = q^(-1/2) U p; it also satisfies
     p x - q x p = -i and Lambda p = q^(-1) p Lambda exactly on the interior.
+    The O(N) scalars keep Python `**` (np.power differs in the last bit).
     """
     dim = 2 * N + 1
-    p = np.zeros((dim, dim), dtype=complex)
-    for i in range(dim):
-        n = i - N
-        base = sigma * s0 * q ** n
-        p[i, i] = base
-        for d in range(1, dim - i):
-            p[i + d, i] = (-1.0) ** (d - 1) * q ** (d / 2.0) * base
-        for d in range(-1, -i - 1, -1):
-            p[i + d, i] = (-1.0) ** d * q ** (d / 2.0) * base
-    return p
+    base = np.array([s0 * q ** n for n in range(-N, N + 1)])
+    coeff = np.array([1.0 if d == 0 else (-1.0) ** (d - (d > 0)) * q ** (d / 2.0)
+                      for d in range(1 - dim, dim)])
+    band = np.subtract.outer(np.arange(dim), np.arange(dim)) + (dim - 1)
+    return (coeff[band] * base).astype(complex)
 
 
 @dataclass(frozen=True)
-class Reconstruction:
+class Reconstruction:  # plus blocks; sector sigma has (sigma p, sigma x, Lambda)
     p: np.ndarray
     x: np.ndarray
     lam: np.ndarray       # Lambda = q^(-1/2) U^dagger
@@ -203,22 +206,10 @@ def reconstruct_pxlambda(rep: PhaseRep) -> Reconstruction:
     x = ((1.0 + q) / (2.0 * q)) * rep.X
     lam = q ** -0.5 * rep.U.conj().T
     lam_inv = q ** 0.5 * rep.U
+    p = _sector_p(q, params.N, params.s0)
 
-    blocks = []
-    if params.sectors in ("plus", "both"):
-        blocks.append(_sector_p(q, params.N, params.s0, +1))
-    if params.sectors in ("minus", "both"):
-        blocks.append(_sector_p(q, params.N, params.s0, -1))
-    dim = rep.dim
-    p = np.zeros((dim, dim), dtype=complex)
-    at = 0
-    for b in blocks:
-        d = b.shape[0]
-        p[at:at + d, at:at + d] = b
-        at += d
-
-    mask = rep.interior()
-    eye = np.eye(dim)
+    mask = _block_interior(params.N)
+    eye = np.eye(p.shape[0])
     px, xp = p @ x, x @ p
     lam_inv_p = lam_inv @ p
     lam_x, x_lam = lam @ x, x @ lam
@@ -369,7 +360,7 @@ def x_eigensystem(rep: PhaseRep):
     condition imposed and yields the q-spaced grid.
     """
     _require_doubled(rep)
-    return _ladder_report(rep, rep.X, 2, max(2, rep.params.N // 6))
+    return _ladder_report(rep, rep.full()[1], 2, max(2, rep.params.N // 6))
 
 
 def sector_coupled_x(rep: PhaseRep) -> np.ndarray:
@@ -384,12 +375,12 @@ def sector_coupled_x(rep: PhaseRep) -> np.ndarray:
     between n = -N and n = -N+1 and adds the hermitean cross entries
     (-1)^(N-1) b/2 at ((-N,+), (-N+1,-)) and (-1)^N b/2 at
     ((-N,-), (-N+1,+)).  Every changed entry has a row or column at n = -N,
-    so the interior is bit-identical to `rep.X`.
+    so the interior is bit-identical to the doubled X of `rep.full()`.
     """
     _require_doubled(rep)
     N = rep.params.N
     plus, minus = 0, 2 * N + 1          # indices of (-N,+) and (-N,-)
-    X = rep.X.copy()
+    X = rep.full()[1]
     b = X[plus, plus + 1]
     for i in (plus, minus):
         X[i, i + 1] /= 2.0
@@ -426,8 +417,9 @@ def x_extension_eigensystem(rep: PhaseRep):
 
 
 def hamiltonian_energies(rep: PhaseRep) -> np.ndarray:
-    """Diagonal of H = P^2/2 in basis order (not sorted)."""
-    return 0.5 * np.real(np.diag(rep.P)) ** 2
+    """Diagonal of H = P^2/2 in basis order (not sorted), one copy per sector."""
+    block = 0.5 * np.real(np.diag(rep.P)) ** 2
+    return np.tile(block, len(SECTOR_SIGNS[rep.params.sectors]))
 
 
 def hamiltonian_spectrum(rep: PhaseRep) -> np.ndarray:
@@ -438,8 +430,7 @@ def expected_hamiltonian_spectrum(params: PhaseParams) -> np.ndarray:
     n = np.arange(-params.N, params.N + 1, dtype=float)
     # same float path as the P diagonal, so equality is exact bit for bit
     base = 0.5 * (params.s0 * np.power(params.q, n)) ** 2
-    copies = 2 if params.sectors == "both" else 1
-    return np.sort(np.concatenate([base] * copies))
+    return np.sort(np.tile(base, len(SECTOR_SIGNS[params.sectors])))
 
 
 def evolve(state: np.ndarray, rep: PhaseRep, t: float) -> np.ndarray:
@@ -482,18 +473,26 @@ def spectral_factor(zeta: float, q: float, convention: str = "symmetric") -> flo
 # aggregate report (CLI surface)
 
 
-def phase_report(params: PhaseParams, with_spectrum: bool = True) -> dict:
-    rep = build_phase_rep(params)
+def phase_payload(params: PhaseParams, residuals: dict[str, float],
+                  spectrum: SpectrumReport | None = None) -> dict:
+    """The `phase_report` dict from residuals and an `x_eigensystem` report."""
     out = {
         "q": params.q,
         "N": params.N,
         "s0": params.s0,
         "sectors": params.sectors,
-        "residuals": relation_residuals(rep),
+        "residuals": residuals,
     }
-    if with_spectrum and params.sectors == "both":
-        report, _ = x_eigensystem(rep)
-        out["eigenvalues"] = [float(v) for v in report.kept]
-        out["ratios"] = [float(r) for r in report.ratios]
-        out["ratio_dev_max"] = report.ratio_dev_max
+    if spectrum is not None:
+        out["eigenvalues"] = [float(v) for v in spectrum.kept]
+        out["ratios"] = [float(r) for r in spectrum.ratios]
+        out["ratio_dev_max"] = spectrum.ratio_dev_max
     return out
+
+
+def phase_report(params: PhaseParams, with_spectrum: bool = True) -> dict:
+    rep = build_phase_rep(params)
+    spectrum = None
+    if with_spectrum and params.sectors == "both":
+        spectrum, _ = x_eigensystem(rep)
+    return phase_payload(params, relation_residuals(rep), spectrum)

@@ -172,6 +172,43 @@ def test_phase_rep_invalid_params_usage_error(capsys):
     assert "q > 1" in err
 
 
+def test_phase_rep_nonfinite_q_usage_error(capsys):
+    # a NaN certificate is not valid JSON and would pass `max(...) > tol`
+    code, out, err = run(capsys, "phase", "rep", "--q", "inf", "--N", "5",
+                         "--json")
+    assert code == 2
+    assert out == ""
+    assert "finite" in err
+
+
+@pytest.mark.parametrize("mode, calls", [
+    ("rep", {"build_phase_rep": 1, "relation_residuals": 1}),
+    ("xspec", {"build_phase_rep": 1, "relation_residuals": 1, "x_eigensystem": 1}),
+])
+def test_phase_json_builds_and_computes_once(capsys, monkeypatch, mode, calls):
+    import qdeform.cli as cli
+    import qdeform.qphase as qphase
+
+    names = ("build_phase_rep", "relation_residuals", "x_eigensystem")
+    counts = dict.fromkeys(names, 0)
+
+    def counting(name):
+        inner = getattr(qphase, name)
+
+        def wrapper(*args, **kwargs):
+            counts[name] += 1
+            return inner(*args, **kwargs)
+        return wrapper
+
+    for name in counts:
+        wrapper = counting(name)
+        monkeypatch.setattr(qphase, name, wrapper)
+        monkeypatch.setattr(cli, name, wrapper)
+    code, _, _ = run(capsys, "phase", mode, "--q", "1.5", "--N", "20", "--json")
+    assert code == 0
+    assert counts == {**dict.fromkeys(names, 0), **calls}
+
+
 def test_phase_reconstruct(capsys):
     code, out, _ = run(capsys, "phase", "reconstruct", "--q", "1.5",
                        "--N", "40", "--json")

@@ -1,5 +1,6 @@
 """Tests for the truncated q-deformed phase-space representation."""
 
+import dataclasses
 import json
 
 import numpy as np
@@ -23,6 +24,7 @@ from qdeform.qphase import (
     x_eigensystem,
     x_extension_eigensystem,
 )
+from qdeform.qphase import _sector_p
 
 # ---------------------------------------------------------------------------
 # frozen oracles (hand-computed from the matrix-element formulas)
@@ -61,6 +63,8 @@ def rep_for(q=1.5, N=10, s0=1.0, sectors="both") -> PhaseRep:
         {"q": 1.5, "N": 10, "s0": 1.5},
         {"q": 1.5, "N": 10, "s0": 2.0},
         {"q": 1.5, "N": 10, "sectors": "up"},
+        {"q": float("inf"), "N": 5},
+        {"q": 1.5, "N": 5.5},
     ],
 )
 def test_invalid_params_rejected(kwargs):
@@ -74,9 +78,10 @@ def test_invalid_params_rejected(kwargs):
 
 def test_momentum_diagonal_entries():
     rep = rep_for(q=1.5, N=3, sectors="both")
+    P, _, _ = rep.full()
     for idx, (n, sigma) in enumerate(rep.labels):
-        assert rep.P[idx, idx] == sigma * 1.5 ** n
-    off = rep.P - np.diag(np.diag(rep.P))
+        assert P[idx, idx] == sigma * 1.5 ** n
+    off = P - np.diag(np.diag(P))
     assert np.all(off == 0)
 
 
@@ -89,7 +94,7 @@ def test_sector_labels_and_blocks():
     assert [n for n, _ in minus] == list(range(-3, 4))
     # no cross-sector coupling in any generator
     d = 2 * 3 + 1
-    for M in (rep.P, rep.X, rep.U):
+    for M in rep.full():
         assert np.all(M[:d, d:] == 0) and np.all(M[d:, :d] == 0)
 
 
@@ -116,15 +121,21 @@ def test_minus_sector_flips_position_and_momentum():
     plus = rep_for(N=4, sectors="plus")
     both = rep_for(N=4, sectors="both")
     d = plus.dim
-    assert np.array_equal(both.X[d:, d:], -plus.X)
-    assert np.array_equal(both.P[d:, d:], -plus.P)
-    assert np.array_equal(both.U[d:, d:], plus.U)
+    P, X, U = both.full()
+    plus_P, plus_X, plus_U = plus.full()
+    assert np.array_equal(X[d:, d:], -plus_X)
+    assert np.array_equal(P[d:, d:], -plus_P)
+    assert np.array_equal(U[d:, d:], plus_U)
+    # the minus blocks carry no negative zero, as when each sector was
+    # built with its own sign
+    for M in (P, X):
+        assert not np.any(np.signbit(M.view(float)[M.view(float) == 0.0]))
 
 
 def test_hermiticity_bitwise():
-    rep = rep_for(q=1.3, N=12, s0=1.1, sectors="both")
-    assert np.array_equal(rep.X.conj().T, rep.X)
-    assert np.array_equal(rep.P.conj().T, rep.P)
+    P, X, _ = rep_for(q=1.3, N=12, s0=1.1, sectors="both").full()
+    assert np.array_equal(X.conj().T, X)
+    assert np.array_equal(P.conj().T, P)
 
 
 # ---------------------------------------------------------------------------
@@ -163,12 +174,54 @@ def test_relations_hold_for_generic_parameters(q, N, frac, sectors):
     assert max(res.values()) <= 1e-12
 
 
+@pytest.mark.parametrize("q, N, s0", [
+    (1.1, 20, 1.05), (1.5, 12, 1.0), (1.7, 40, 1.3), (2.0, 9, 1.5)])
+def test_one_block_residuals_stand_for_every_sector(q, N, s0):
+    """Each defect is homogeneous in sigma, so the residuals of the stored
+    plus block are those of every sector present."""
+    reps = [rep_for(q=q, N=N, s0=s0, sectors=s) for s in ("plus", "minus", "both")]
+    relations = [relation_residuals(rep) for rep in reps]
+    reconstructions = [reconstruct_pxlambda(rep).residuals for rep in reps]
+    assert relations[0] == relations[1] == relations[2]
+    assert reconstructions[0] == reconstructions[1] == reconstructions[2]
+    plus = reps[0]
+    minus_block = dataclasses.replace(plus, P=0.0 - plus.P, X=0.0 - plus.X)
+    assert relation_residuals(minus_block) == relations[0]
+
+
+def test_sector_builders_match_elementwise_formulas():
+    """The array builders reproduce the per-entry formulas bit for bit:
+    np.power for P and X, Python ** for the scalars of p.  At q = 1.1 the two
+    powers differ in the last bit for three of the labels |n| <= 12."""
+    q, N, s0 = 1.1, 12, 1.05
+    dim = 2 * N + 1
+    n = np.arange(-N, N + 1, dtype=float)
+    lam = q - 1.0 / q
+    X = np.zeros((dim, dim), dtype=complex)
+    p = np.zeros((dim, dim), dtype=complex)
+    for i in range(dim):
+        if i >= 1:
+            X[i - 1, i] = 1j * np.power(q, -n[i] + 0.5) / lam * (1.0 / s0)
+        if i + 1 < dim:
+            X[i + 1, i] = -1j * np.power(q, -n[i] - 0.5) / lam * (1.0 / s0)
+        base = s0 * q ** (i - N)
+        for j in range(dim):
+            d = j - i
+            sign = (-1.0) ** (d - 1) if d > 0 else (-1.0) ** d
+            p[j, i] = base if d == 0 else sign * q ** (d / 2.0) * base
+    rep = rep_for(q=q, N=N, s0=s0, sectors="plus")
+    assert rep.P.tobytes() == np.diag(s0 * np.power(q, n)).astype(complex).tobytes()
+    assert rep.X.tobytes() == X.tobytes()
+    assert rep.U.tobytes() == np.diag(np.ones(dim - 1, dtype=complex), 1).tobytes()
+    assert _sector_p(q, N, s0).tobytes() == p.tobytes()
+
+
 def test_scaling_covariance_is_exact():
-    base = rep_for(q=1.5, N=15, s0=1.0, sectors="both")
-    scaled = rep_for(q=1.5, N=15, s0=1.2, sectors="both")
-    assert np.array_equal(scaled.P, 1.2 * base.P)
-    assert np.array_equal(scaled.X, (1.0 / 1.2) * base.X)
-    assert np.array_equal(scaled.U, base.U)
+    base_P, base_X, base_U = rep_for(q=1.5, N=15, s0=1.0, sectors="both").full()
+    P, X, U = rep_for(q=1.5, N=15, s0=1.2, sectors="both").full()
+    assert np.array_equal(P, 1.2 * base_P)
+    assert np.array_equal(X, (1.0 / 1.2) * base_X)
+    assert np.array_equal(U, base_U)
 
 
 # ---------------------------------------------------------------------------
@@ -225,8 +278,10 @@ def test_undeformed_commutator_is_not_represented_on_the_lattice():
     rep = rep_for(q=1.0 + 1e-6, N=10, sectors="both")
     rec = reconstruct_pxlambda(rep)
     assert rec.residuals["pxq"] <= 1e-10
-    defect = rec.x @ rec.p - rec.p @ rec.x - 1j * np.eye(rep.dim)
-    mask = rep.interior(2)
+    # on the plus block; the minus block (-x, -p) has the same defect
+    d = rec.p.shape[0]
+    defect = rec.x @ rec.p - rec.p @ rec.x - 1j * np.eye(d)
+    mask = rep.interior(2)[:d]
     assert np.max(np.abs(defect[np.ix_(mask, mask)])) >= 0.5
 
 
@@ -315,10 +370,11 @@ def test_sector_coupled_x_hermitean_bitwise(N):
 def test_sector_coupled_x_equals_block_window_on_interior(N):
     rep = rep_for(q=1.5, N=N)
     X = sector_coupled_x(rep)
+    _, block_window, _ = rep.full()
     mask = rep.interior(2)
-    assert np.array_equal(X[np.ix_(mask, mask)], rep.X[np.ix_(mask, mask)])
+    assert np.array_equal(X[np.ix_(mask, mask)], block_window[np.ix_(mask, mask)])
     # four halved intra-sector bond entries and four new cross entries
-    assert np.count_nonzero(X != rep.X) == 8
+    assert np.count_nonzero(X != block_window) == 8
 
 
 def test_extension_spectrum_is_union_of_parity_ladders():
@@ -326,7 +382,7 @@ def test_extension_spectrum_is_union_of_parity_ladders():
     ones the same X with the innermost site removed, plus one null vector."""
     rep = rep_for(q=1.5, N=12)
     report, _ = x_extension_eigensystem(rep)
-    plus = rep.X[:25, :25]
+    plus = rep.X  # the plus sector block, 25 x 25 at N = 12
     expected = np.sort(np.concatenate([
         np.linalg.eigvalsh(plus), np.linalg.eigvalsh(plus[1:, 1:]), [0.0]]))
     vals = report.eigenvalues
