@@ -28,7 +28,7 @@ def main() -> None:
     ap.add_argument("--q", type=float, default=1.5)
     ap.add_argument("--s0", type=float, default=1.0)
     ap.add_argument("--sizes", type=int, nargs="+",
-                    default=[15, 20, 30, 40, 60, 80])
+                    default=[15, 20, 30, 40, 60, 80, 100, 200, 400])
     args = ap.parse_args()
 
     print(f"q = {args.q}, s0 = {args.s0}")

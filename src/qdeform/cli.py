@@ -18,17 +18,15 @@ from .classical import (
     ClassicalParams,
     InsufficientRangeError,
     classical_report,
-    compare_closed_form,
     estimate_maxima_spacing,
     integrate_trajectory,
 )
-from .ncalg import DivergedError, NCPoly, PresentationError, flatness_scan, \
-    derivative_apply, normal_form
-from .parsing import ParseError, parse_expr, parse_rule
+from .ncalg import DivergedError, PresentationError, derivative_apply, \
+    flatness_scan, normal_form
+from .parsing import parse_expr, parse_rule
 from .presets import PRESETS, get_preset
 from .qphase import (
     PhaseParams,
-    SpectrumWindowError,
     build_phase_rep,
     expected_hamiltonian_spectrum,
     hamiltonian_spectrum,
@@ -40,7 +38,6 @@ from .qphase import (
 from .scalars import HalfInt, QExactError, q_number, q_number_value
 from .suq2 import (
     DecompositionError,
-    SingularLimitError,
     algebra_residuals,
     build_rep,
     casimir_decompose,
@@ -103,10 +100,7 @@ def _presentation_from_args(args):
 def _cmd_qnum(args, out: _Output) -> int:
     n = HalfInt.coerce(Fraction(args.n))
     if args.symbolic:
-        try:
-            value = q_number(n, args.r)
-        except QExactError as exc:
-            return _fail(str(exc), 2)
+        value = q_number(n, args.r)
         if args.json:
             out.emit_json({"n": float(n), "r": args.r, "symbolic": value.render()})
         else:
@@ -123,10 +117,7 @@ def _cmd_qnum(args, out: _Output) -> int:
 
 
 def _cmd_rep(args, out: _Output) -> int:
-    try:
-        report = rep_report(HalfInt.coerce(Fraction(args.j)), args.q)
-    except (ValueError, SingularLimitError, DecompositionError) as exc:
-        return _fail(str(exc), 2)
+    report = rep_report(HalfInt.coerce(Fraction(args.j)), args.q)
     worst = max(report["residuals"].values())
     worst = max(worst, report["casimir"]["defect"])
     tol = args.tol if args.tol is not None else 1e-12
@@ -154,8 +145,8 @@ def _cmd_tensor(args, out: _Output) -> int:
         left, right = build_rep(j1, args.q), build_rep(j2, args.q)
         product = coproduct(left, right)
         decomposition = casimir_decompose(product)
-    except (ValueError, SingularLimitError, DecompositionError) as exc:
-        return _fail(str(exc), 1 if isinstance(exc, DecompositionError) else 2)
+    except DecompositionError as exc:
+        return _fail(str(exc), 1)
     residual = max(max(algebra_residuals(product)),
                    max(conjugation_residuals(product)))
     tol = args.tol if args.tol is not None else 1e-12
@@ -179,18 +170,13 @@ def _cmd_tensor(args, out: _Output) -> int:
 
 
 def _cmd_plane(args, out: _Output) -> int:
-    try:
-        pres = _presentation_from_args(args)
-    except (ParseError, PresentationError, KeyError) as exc:
-        return _fail(str(exc), 2)
+    pres = _presentation_from_args(args)
     if args.mode == "normalize":
         if not args.expr:
             return _fail("normalize needs --expr", 2)
         try:
             poly = parse_expr(args.expr, pres)
             result = normal_form(pres, poly)
-        except ParseError as exc:
-            return _fail(str(exc), 2)
         except (DivergedError, PresentationError) as exc:
             return _fail(str(exc), 1)
         if args.json:
@@ -225,8 +211,6 @@ def _cmd_plane(args, out: _Output) -> int:
     try:
         poly = parse_expr(args.expr, pres)
         result = derivative_apply(args.d, poly)
-    except ParseError as exc:
-        return _fail(str(exc), 2)
     except (PresentationError, DivergedError) as exc:
         return _fail(str(exc), 1)
     if args.json:
@@ -313,10 +297,7 @@ def _cmd_phase(args, out: _Output) -> int:
 
 
 def _cmd_classical(args, out: _Output) -> int:
-    try:
-        params = ClassicalParams(energy=args.E, h=args.h)
-    except ValueError as exc:
-        return _fail(str(exc), 2)
+    params = ClassicalParams(energy=args.E, h=args.h)
     tol = args.tol if args.tol is not None else 1e-9
     if args.mode == "traj":
         traj = integrate_trajectory(params, args.t_max, tol=tol)
@@ -445,10 +426,9 @@ def main(argv=None) -> int:
     out = _Output(getattr(args, "out", None))
     try:
         code = args.handler(args, out)
-    except (ParseError, PresentationError, ValueError) as exc:
+    except ValueError as exc:  # every usage error of the library subclasses it
         return _fail(str(exc), 2)
-    except (DivergedError, QExactError, SpectrumWindowError,
-            InsufficientRangeError, DecompositionError, RuntimeError) as exc:
+    except RuntimeError as exc:  # DivergedError, SpectrumWindowError, InsufficientRangeError
         return _fail(str(exc), 1)
     out.flush()
     return code

@@ -15,18 +15,6 @@ def mat(rows) -> ExactMatrix:
     return out
 
 
-def eye(n: int) -> ExactMatrix:
-    return tuple(
-        tuple(QExact.one() if i == k else QExact.zero() for k in range(n))
-        for i in range(n)
-    )
-
-
-def zeros(n: int, m: int | None = None) -> ExactMatrix:
-    m = n if m is None else m
-    return tuple(tuple(QExact.zero() for _ in range(m)) for _ in range(n))
-
-
 def add(a: ExactMatrix, b: ExactMatrix) -> ExactMatrix:
     return tuple(tuple(x + y for x, y in zip(ra, rb)) for ra, rb in zip(a, b))
 
@@ -61,9 +49,3 @@ def dagger(a: ExactMatrix) -> ExactMatrix:
 
 def is_zero(a: ExactMatrix) -> bool:
     return all(x.is_zero() for row in a for x in row)
-
-
-def to_complex(a: ExactMatrix, q: float):
-    import numpy as np
-
-    return np.array([[x.eval(q) for x in row] for row in a], dtype=complex)

@@ -225,12 +225,6 @@ class NCPoly:
         self.pres = pres
         self.terms = clean
 
-    # -- construction ---------------------------------------------------
-
-    @classmethod
-    def from_word(cls, pres: Presentation, word: Word, coeff=1) -> "NCPoly":
-        return normal_form_words(pres, {tuple(word): QExact._coerce(coeff)})
-
     # -- ring operations --------------------------------------------------
 
     def _check_same(self, other: "NCPoly"):

@@ -19,19 +19,33 @@ order one.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import isfinite, log
+from math import inf, isfinite, log
+from sys import float_info
 
 import numpy as np
 
 # the sign sigma of each sector present, in basis order
 SECTOR_SIGNS = {"plus": (1,), "minus": (-1,), "both": (1, -1)}
 
-# positive eigenvalues below FLOOR_FACTOR * max|eigenvalue| * eps are noise
-FLOOR_FACTOR = 1e4
+# ladder eigenvectors farther than this from orthonormal are refused
+ORTHONORMALITY_TOL = 1e-10
+
+# (-i)^k by k mod 4, exact
+_GAUGE = np.array([1.0, -1j, -1.0, 1j])
 
 
 class SpectrumWindowError(RuntimeError):
-    """Raised when the usable spectral window is empty."""
+    """Raised when a spectral route yields no usable window at this N; the
+    message says whether a smaller or a larger N helps."""
+
+
+def _largest_value(q: float, N: int, s0: float) -> float:
+    """s0^2 q^(2N), the largest value the phase modes form (H = P^2/2 and
+    the tails s0 q^(2N) of p stay below it); inf past the double range."""
+    try:
+        return s0 * s0 * float(q) ** (2 * int(N))
+    except OverflowError:
+        return inf
 
 
 @dataclass(frozen=True)
@@ -50,6 +64,12 @@ class PhaseParams:
             raise ValueError("window half-width must be at least 2")
         if not 1.0 <= self.s0 < self.q:
             raise ValueError("scale eigenvalue must lie in [1, q)")
+        if not isfinite(_largest_value(self.q, self.N, self.s0)):
+            n_max = int(log(float_info.max / self.s0 ** 2) / (2.0 * log(self.q))) + 1
+            while not isfinite(_largest_value(self.q, n_max, self.s0)):
+                n_max -= 1
+            raise ValueError(f"s0^2 q^(2N) overflows a double at N = {self.N}; "
+                             f"the largest admissible N is {n_max}")
         if self.sectors not in SECTOR_SIGNS:
             raise ValueError(f"sectors must be one of {tuple(SECTOR_SIGNS)}")
 
@@ -248,24 +268,14 @@ class SpectrumReport:
     N: int
     s0: float
     eigenvalues: np.ndarray        # full sorted spectrum of the doubled X
-    positives: np.ndarray          # deduplicated positive lattice values
+    positives: np.ndarray          # upper halves of the ladders, sorted
     window: tuple[int, int]        # slice of `positives` used for ratios
     kept: np.ndarray               # positives inside the window
     ratios: np.ndarray             # consecutive ratios over the window
     ratio_dev_max: float           # max |ratio - q|
     ratio_dev_max_squared: float   # max |ratio - q^2| (block-truncation ladder)
-    unitarity_defect: float
-    diagonalization_defect: float  # relative reconstruction error
-
-
-def _dedup_clusters(values: np.ndarray, rtol: float = 1e-6) -> np.ndarray:
-    out: list[list[float]] = []
-    for v in values:
-        if out and abs(v - out[-1][-1]) <= rtol * max(1e-300, abs(v)):
-            out[-1].append(v)
-        else:
-            out.append([v])
-    return np.array([float(np.mean(c)) for c in out])
+    unitarity_defect: float        # max |V^T V - 1| over the ladder eigenvectors
+    diagonalization_defect: float  # max |T V - V diag(vals)| / max(1, max bond)
 
 
 def _require_doubled(rep: PhaseRep) -> None:
@@ -274,77 +284,97 @@ def _require_doubled(rep: PhaseRep) -> None:
                          "build the representation with sectors='both'")
 
 
-def _ladder_report(rep: PhaseRep, X: np.ndarray, margin_low: int, margin_high: int):
-    """Diagonalize X and analyse its positive ladder.
+def _ladder(bonds: np.ndarray):
+    """Ascending eigenvalues and eigenvectors of the real symmetric
+    tridiagonal T with zero diagonal and off-diagonal `bonds`.
 
-    Positive eigenvalues are floored at FLOOR_FACTOR times the eigensolver
-    noise scale, deduplicated, and trimmed by `margin_low` / `margin_high`
-    values at the small / large end before the ratio series is formed.
-
-    The noise scale grows like the largest eigenvalue, about q^N, while the
-    smallest shrink like q^-N, so beyond some N a larger window only loses
-    more small values to noise while the trims keep growing; an empty window
-    says which of the two limits it hit.
+    T is a permuted bidiagonal, so bisection finds every eigenvalue to high
+    relative accuracy however strongly the bonds are graded (Demmel & Kahan,
+    SIAM J. Sci. Stat. Comput. 11 (1990)); inverse iteration then gives the
+    eigenvectors.  scipy.linalg takes ~0.3 s to import, so only here.
     """
-    vals, vecs = np.linalg.eigh(X)
-    dim = rep.dim
-    unitarity = float(np.max(np.abs(vecs.conj().T @ vecs - np.eye(dim))))
-    recon = vecs @ np.diag(vals) @ vecs.conj().T - X
-    scale = max(1.0, float(np.max(np.abs(X))))
-    diag_defect = float(np.max(np.abs(recon))) / scale
+    from scipy.linalg import eigh_tridiagonal
 
-    noise = float(np.max(np.abs(vals))) * np.finfo(float).eps
-    floor = FLOOR_FACTOR * noise
-    positives = _dedup_clusters(np.sort(vals[vals > floor]))
-    lo = margin_low
-    hi = len(positives) - margin_high
+    return eigh_tridiagonal(np.zeros(len(bonds) + 1), bonds,
+                            lapack_driver="stebz", tol=2 * np.finfo(float).tiny)
+
+
+def _solve_ladders(rep: PhaseRep, *bond_sets):
+    """`_ladder` of each bond vector, with the eigenvectors of T mapped to
+    those of X_+ on the same sites.
+
+    On any run of consecutive sites X_+ = G T G^dagger with
+    G = diag((-i)^k), k counted from the run's first site (starting the
+    count elsewhere multiplies G by a phase).  Returns the (values, vectors)
+    pairs, the largest orthonormality defect and the largest relative
+    residual.  Inverse iteration breaks down on strongly graded ladders
+    (q^N beyond about e^190 at q = 1.5 to 3), so eigenvectors that are not
+    finite and orthonormal to ORTHONORMALITY_TOL are refused.
+    """
+    ladders, unitarity, residual = [], 0.0, 0.0
+    for bonds in bond_sets:
+        try:
+            vals, vecs = _ladder(bonds)
+        except np.linalg.LinAlgError:  # scipy.linalg raises numpy's class
+            defect = inf
+        else:
+            defect = float(np.max(np.abs(vecs.T @ vecs - np.eye(len(vals)))))
+        if not defect <= ORTHONORMALITY_TOL:  # NaN vectors give a NaN defect
+            raise SpectrumWindowError(
+                f"the ladder eigenvectors at N = {rep.params.N} are not "
+                f"orthonormal to {ORTHONORMALITY_TOL:g} (defect {defect:.3g}): "
+                f"inverse iteration breaks down on a ladder this strongly "
+                f"graded; use a smaller N")
+        tv = vecs * vals
+        tv[:-1] -= bonds[:, None] * vecs[1:]
+        tv[1:] -= bonds[:, None] * vecs[:-1]
+        unitarity = max(unitarity, defect)
+        residual = max(residual, float(np.max(np.abs(tv)) / max(1.0, np.max(bonds))))
+        ladders.append((vals, _GAUGE[np.arange(len(vals)) % 4, None] * vecs))
+    return ladders, unitarity, residual
+
+
+def _ladder_report(rep: PhaseRep, vals, vecs, positives, margins, defects):
+    """Sort the doubled spectrum `vals` with its eigenvectors and analyse the
+    positive ladder: `margins` = (low, high) values are trimmed at the small
+    and the large end before the ratio series is formed."""
+    N = rep.params.N
+    lo, hi = margins[0], len(positives) - margins[1]
     if hi - lo < 3:
-        # X has a two-dimensional kernel on both routes (each sector has odd
-        # dimension 2N+1); every other eigenvalue under the floor is noise
-        dropped = int(np.count_nonzero(np.abs(vals) <= floor)) - 2
-        advice = (
-            "use a smaller N: the noise floor rises with the largest "
-            "eigenvalue, so a larger N loses more small values"
-            if dropped > 0 else "use a larger N"
-        )
         raise SpectrumWindowError(
-            f"usable spectral window is empty at N = {rep.params.N}: "
-            f"{len(positives)} distinct positive values clear the noise floor "
-            f"{floor:.3g} and {dropped} eigenvalues were dropped as noise, "
-            f"but the trims remove {margin_low} low and {margin_high} high "
-            f"values; {advice}"
-        )
+            f"usable spectral window is empty at N = {N}: "
+            f"{len(positives)} distinct positive values, but the trims remove "
+            f"{margins[0]} low and {margins[1]} high values; use a larger N")
     kept = positives[lo:hi]
     ratios = kept[1:] / kept[:-1]
     q = rep.params.q
-    dev = float(np.max(np.abs(ratios - q))) if ratios.size else float("inf")
-    dev_sq = float(np.max(np.abs(ratios - q * q))) if ratios.size else float("inf")
+    order = np.argsort(vals, kind="stable")
     report = SpectrumReport(
         q=q,
-        N=rep.params.N,
+        N=N,
         s0=rep.params.s0,
-        eigenvalues=np.sort(vals),
+        eigenvalues=vals[order],
         positives=positives,
         window=(lo, hi),
         kept=kept,
         ratios=ratios,
-        ratio_dev_max=dev,
-        ratio_dev_max_squared=dev_sq,
-        unitarity_defect=unitarity,
-        diagonalization_defect=diag_defect,
+        ratio_dev_max=float(np.max(np.abs(ratios - q))),
+        ratio_dev_max_squared=float(np.max(np.abs(ratios - q * q))),
+        unitarity_defect=defects[0],
+        diagonalization_defect=defects[1],
     )
-    return report, vecs
+    return report, vecs[:, order]
 
 
 def x_eigensystem(rep: PhaseRep):
     """Eigen-decomposition of the doubled position operator.
 
-    Returns (SpectrumReport, eigenvector matrix).  Positive eigenvalues are
-    deduplicated (the two sectors mirror each other), floored above the
-    eigensolver noise scale, and trimmed at both ends before the ratio
+    Returns (SpectrumReport, eigenvector matrix).  Sector sigma carries
+    sigma X_+, so one tridiagonal ladder of X_+ gives the whole spectrum,
+    each value once per sector, and sector-pure eigenvectors.  Its positive
+    half, one value per two sites, is trimmed at both ends before the ratio
     series is formed; the trims (2 values low, max(2, N//6) high) absorb
-    truncation distortion near the largest lattice sites and rounding noise
-    near the floor.
+    truncation distortion near the ends of the lattice.
 
     A caution on the ratio series: the untruncated doubled operator has the
     full geometric grid (+|-) sigma*q^n, with consecutive positive ratios
@@ -352,15 +382,20 @@ def x_eigensystem(rep: PhaseRep):
     divergent end of the lattice which couples the two sectors.  This
     block-diagonal window keeps the sectors decoupled: the sign-flipped
     block is similar to the original via the alternating-sign diagonal, so
-    every eigenvalue is exactly doubled and the deduplicated positive
-    ladder steps by q^2, not q.  The ratio series therefore converges to
+    every eigenvalue is exactly doubled and the positive ladder of X_+
+    steps by q^2, not q.  The ratio series therefore converges to
     q^2 as N grows; `ratio_dev_max` (against q) stalls near q^2 - q while
     `ratio_dev_max_squared` (against q^2) decays.  Both are reported.
     `x_extension_eigensystem` diagonalizes the window with such a boundary
     condition imposed and yields the q-spaced grid.
     """
     _require_doubled(rep)
-    return _ladder_report(rep, rep.full()[1], 2, max(2, rep.params.N // 6))
+    N = rep.params.N
+    [(vals, vecs)], *defects = _solve_ladders(rep, rep.X.imag.diagonal(1))
+    zero = np.zeros_like(vecs)
+    return _ladder_report(rep, np.concatenate([vals, -vals]),
+                          np.block([[vecs, zero], [zero, vecs]]),
+                          vals[N + 1:], (2, max(2, N // 6)), defects)
 
 
 def sector_coupled_x(rep: PhaseRep) -> np.ndarray:
@@ -395,21 +430,33 @@ def sector_coupled_x(rep: PhaseRep) -> np.ndarray:
 def x_extension_eigensystem(rep: PhaseRep):
     """Eigen-decomposition of the sector-coupled extension of X.
 
-    Returns (SpectrumReport, eigenvector matrix) for `sector_coupled_x(rep)`.
-    The even and odd parity ladders interlace, so the positive spectrum is
-    simple and consecutive ratios approach q itself.  The values sit on the
-    grid +-q^(k+1/2) / (lambda s0), lambda = q - 1/q: the x for which x p
-    meets the asymptotic zeros of the q-cosine and q-sine of the q-Fourier
-    kernel E(-i x p) at every lattice momentum p = s0 q^m (README,
-    "Position spectrum").
+    Returns (SpectrumReport, eigenvector matrix) for `sector_coupled_x(rep)`
+    without forming it: in the parity combinations e(+|-)_n its even ladder
+    is X_+ on the sites -N..N, its odd ladder X_+ on -N+1..N, and e(-)_(-N)
+    is a null vector.  The two ladders interlace, so the positive spectrum
+    is simple and consecutive ratios approach q itself.  The values sit on
+    the grid +-q^(k+1/2) / (lambda s0), lambda = q - 1/q: the x for which
+    x p meets the asymptotic zeros of the q-cosine and q-sine of the
+    q-Fourier kernel E(-i x p) at every lattice momentum p = s0 q^m
+    (README, "Position spectrum").
 
     Truncation distortion spans a fixed number of lattice sites and this
-    ladder has one positive value per site, twice as many as the
-    deduplicated block ladder of `x_eigensystem`; its margins are doubled
-    accordingly so that they trim the same sites.
+    ladder has one positive value per site, twice as many as the block
+    ladder of `x_eigensystem`; its margins are doubled accordingly so that
+    they trim the same sites.
     """
-    margin_high = 2 * max(2, rep.params.N // 6)
-    return _ladder_report(rep, sector_coupled_x(rep), 4, margin_high)
+    _require_doubled(rep)
+    N = rep.params.N
+    bonds = rep.X.imag.diagonal(1)
+    [(even, u), (odd, w)], *defects = _solve_ladders(rep, bonds, bonds[1:])
+    v = np.zeros_like(u)   # the odd ladder, then the null vector at n = -N
+    v[1:, :-1] = w
+    v[0, -1] = 1.0
+    parity = ((-1.0) ** np.arange(-N, N + 1))[:, None]
+    vecs = np.block([[u, v], [parity * u, -parity * v]]) * np.sqrt(0.5)
+    positives = np.sort(np.concatenate([even[N + 1:], odd[N:]]))
+    return _ladder_report(rep, np.concatenate([even, odd, [0.0]]), vecs,
+                          positives, (4, 2 * max(2, N // 6)), defects)
 
 
 # ---------------------------------------------------------------------------
@@ -490,9 +537,9 @@ def phase_payload(params: PhaseParams, residuals: dict[str, float],
     return out
 
 
-def phase_report(params: PhaseParams, with_spectrum: bool = True) -> dict:
+def phase_report(params: PhaseParams) -> dict:
     rep = build_phase_rep(params)
     spectrum = None
-    if with_spectrum and params.sectors == "both":
+    if params.sectors == "both":
         spectrum, _ = x_eigensystem(rep)
     return phase_payload(params, relation_residuals(rep), spectrum)

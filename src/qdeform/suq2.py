@@ -123,17 +123,6 @@ class Suq2RepExact:
     def dim(self) -> int:
         return len(self.T3)
 
-    def to_rep(self, q: float) -> Suq2Rep:
-        return Suq2Rep(
-            q=q,
-            T3=xm.to_complex(self.T3, q),
-            Tplus=xm.to_complex(self.Tplus, q),
-            Tminus=xm.to_complex(self.Tminus, q),
-            tau=xm.to_complex(self.tau, q),
-            j=self.j,
-            basis=tuple(halfint_range_desc(self.j)),
-        )
-
 
 def build_rep_exact(j) -> Suq2RepExact:
     """Exact-ring variant; needs every ladder radicand to be a perfect

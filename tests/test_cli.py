@@ -1,6 +1,7 @@
 """End-to-end tests of the command-line interface."""
 
 import json
+import math
 
 import pytest
 
@@ -69,6 +70,13 @@ def test_rep_check_respects_tolerance_override(capsys):
                        "--check", "--tol", "1e-30")
     assert code == 1
     assert "above tolerance" in err
+
+
+def test_rep_invalid_q_usage_error(capsys):
+    code, out, err = run(capsys, "rep", "--j", "0.5", "--q", "0.9")
+    assert code == 2
+    assert out == ""
+    assert "q >= 1" in err
 
 
 def test_tensor_decomposition(capsys):
@@ -179,6 +187,24 @@ def test_phase_rep_nonfinite_q_usage_error(capsys):
     assert code == 2
     assert out == ""
     assert "finite" in err
+
+
+@pytest.mark.parametrize("mode, N", [("spectrum", "340"), ("reconstruct", "647")])
+def test_phase_overflowing_window_usage_error(capsys, mode, N):
+    # at q = 3 the energies, or p's tails, would overflow a double
+    code, out, err = run(capsys, "phase", mode, "--q", "3", "--N", N, "--json")
+    assert code == 2
+    assert out == ""
+    assert "largest admissible N is 323" in err
+
+
+def test_phase_largest_admissible_window_accepted(capsys):
+    code, out, _ = run(capsys, "phase", "spectrum", "--q", "3", "--N", "323",
+                       "--json")
+    assert code == 0
+    payload = json.loads(out)
+    assert payload["defect"] == 0.0
+    assert all(math.isfinite(v) for v in payload["energies"])
 
 
 @pytest.mark.parametrize("mode, calls", [

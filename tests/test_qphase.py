@@ -334,26 +334,65 @@ def test_spectrum_window_error_when_window_empty():
         x_eigensystem(rep_for(q=1.5, N=2, sectors="both"))
     message = str(err.value)
     assert "2 distinct positive values" in message
-    assert "0 eigenvalues were dropped as noise" in message
     assert "2 low and 2 high" in message
     assert message.endswith("use a larger N")
 
 
-@pytest.mark.parametrize("route, positives, trims", [
-    (x_eigensystem, 33, "2 low and 33 high"),
-    (x_extension_eigensystem, 66, "4 low and 66 high"),
-])
-def test_spectrum_window_error_advises_smaller_n_past_noise_floor(
-        route, positives, trims):
-    # at q = 1.5 only 66 positive eigenvalues clear the noise floor at any N, so
-    # at N = 200 the trims leave nothing and a larger N would not help
+def test_block_ladder_known_answer_at_n_200():
+    """Every positive value of X_+ is kept, down to ~q^-200, and the window
+    steps by q^2."""
+    report, vecs = x_eigensystem(rep_for(q=1.5, N=200))
+    assert len(report.positives) == 200
+    assert report.ratio_dev_max_squared <= 1e-3
+    assert report.unitarity_defect <= 1e-10
+    assert vecs.shape == (802, 802)
+
+
+def test_extension_ladder_known_answer_at_n_200():
+    report, vecs = x_extension_eigensystem(rep_for(q=1.5, N=200))
+    assert len(report.positives) == 400
+    assert report.ratio_dev_max <= 1e-3
+    assert report.unitarity_defect <= 1e-10
+    assert vecs.shape == (802, 802)
+
+
+@pytest.mark.parametrize("route", [x_eigensystem, x_extension_eigensystem])
+def test_ladder_breakdown_advises_smaller_n(route):
+    # at q = 3 inverse iteration returns NaN eigenvectors from N ~ 200 on
     with pytest.raises(SpectrumWindowError) as err:
-        route(rep_for(q=1.5, N=200))
+        route(rep_for(q=3.0, N=200, s0=1.0))
     message = str(err.value)
-    assert f"{positives} distinct positive values" in message
-    assert "668 eigenvalues were dropped as noise" in message
-    assert trims in message
+    assert "N = 200" in message
     assert "use a smaller N" in message
+
+
+def test_eigensolver_failure_is_a_window_error(monkeypatch):
+    import qdeform.qphase as qphase
+
+    def failing(bonds):
+        raise np.linalg.LinAlgError("eigenvectors failed to converge")
+    monkeypatch.setattr(qphase, "_ladder", failing)
+    with pytest.raises(SpectrumWindowError, match="use a smaller N"):
+        x_eigensystem(rep_for(q=1.5, N=20))
+
+
+@pytest.mark.parametrize("q, s0", [(1.5, 1.0), (1.5, 1.2), (1.7, 1.0), (1.7, 1.2)])
+@pytest.mark.parametrize("N", [13, 60])
+@pytest.mark.parametrize("route, matrix", [
+    (x_eigensystem, lambda rep: rep.full()[1]),
+    (x_extension_eigensystem, sector_coupled_x),
+])
+def test_ladder_routes_match_dense_oracle(q, s0, N, route, matrix):
+    """Dense eigh on the doubled matrix is the oracle while it is accurate:
+    the ladders give its eigenvalues, and eigenvectors of the matrix itself."""
+    rep = rep_for(q=q, N=N, s0=s0)
+    X = matrix(rep)
+    report, vecs = route(rep)
+    expected = np.linalg.eigvalsh(X)
+    assert np.max(np.abs(report.eigenvalues - expected)) <= 1e-12 * np.max(np.abs(expected))
+    residual = X @ vecs - vecs * report.eigenvalues
+    assert np.linalg.norm(residual, 2) <= 1e-12 * np.linalg.norm(X, 2)
+    assert np.max(np.abs(vecs.conj().T @ vecs - np.eye(rep.dim))) <= 1e-12
 
 
 # ---------------------------------------------------------------------------
@@ -435,7 +474,6 @@ def test_extension_window_error_when_window_empty():
         x_extension_eigensystem(rep_for(q=1.5, N=2))
     message = str(err.value)
     assert "4 distinct positive values" in message
-    assert "0 eigenvalues were dropped as noise" in message
     assert "4 low and 4 high" in message
     assert message.endswith("use a larger N")
 
