@@ -19,7 +19,7 @@ with maxima spaced by pi/(2*E*h).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import cosh, exp, pi, sinh, sqrt
+from math import cos, cosh, exp, pi, sin, sinh, sqrt
 
 import numpy as np
 
@@ -73,10 +73,25 @@ def hamiltonian(x, p, h: float):
 
 
 def hamilton_rhs(t, y, h: float):
-    x, p = y
+    """The vector field (dx/dt, dp/dt) = (dH/dp, -dH/dx), in scalar `math`.
+
+    The solver calls this tens of thousands of times, so it evaluates W and
+    dW/du on Python floats rather than through `w_factor`, with the same
+    operations and rounding: numpy squares a 0-d array `u ** 2` as u * u,
+    while its float64 scalars take `denom ** 2` and `p ** 3` through pow,
+    as Python's float `**` does.
+    """
+    x, p = float(y[0]), float(y[1])
+    q = exp(h)
+    lam = q - 1.0 / q
+    c = q + 1.0 / q
     u = 2.0 * x * p
-    w = w_factor(u, h)
-    wp = w_factor_derivative(u, h)
+    uh = u * h
+    cos_uh = cos(uh)
+    denom = 1.0 + u * u
+    w = (2.0 / lam ** 2) * (c - 2.0 * cos_uh) / denom
+    num = 2.0 * h * sin(uh) * denom - 2.0 * u * (c - 2.0 * cos_uh)
+    wp = (2.0 / lam ** 2) * num / denom ** 2
     return [2.0 * p * w + 2.0 * x * p * p * wp, -2.0 * p ** 3 * wp]
 
 
@@ -136,6 +151,7 @@ class Trajectory:
     x: np.ndarray
     p: np.ndarray
     energy_drift: float  # max relative drift of H along the samples
+    nfev: int            # vector-field evaluations the solver made
 
 
 def integrate_trajectory(params: ClassicalParams, t_max: float,
@@ -159,7 +175,8 @@ def integrate_trajectory(params: ClassicalParams, t_max: float,
     x, p = sol.y
     energies = hamiltonian(x, p, params.h)
     drift = float(np.max(np.abs(energies - params.energy)) / params.energy)
-    return Trajectory(params=params, t=t_eval, x=x, p=p, energy_drift=drift)
+    return Trajectory(params=params, t=t_eval, x=x, p=p, energy_drift=drift,
+                      nfev=int(sol.nfev))
 
 
 @dataclass(frozen=True)

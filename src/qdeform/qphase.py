@@ -14,11 +14,19 @@ reconstructed operators cancel across many orders of magnitude; double
 precision cannot produce absolute defects below machine epsilon times
 those scales, while any genuine algebra error would still register at
 order one.
+
+The residuals are formed band by band from the nonzero diagonals of the
+stored P, X and U: a product of bands a and b lands on band a + b, so the
+defining relations cost O(N) and the identities of the reconstructed p,
+which fills the block, O(N^2), with no matrix product.  A stored operator
+with a nonzero entry off the bands this model gives it is refused with a
+ValueError that names the operator and the band.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from math import inf, isfinite, log
 from sys import float_info
 
@@ -141,51 +149,171 @@ def build_phase_rep(params: PhaseParams) -> PhaseRep:
 # not depend on sigma, so the maximum over the sectors is the block's value.
 
 
-def _backward_residual(defect: np.ndarray, scale: np.ndarray, mask: np.ndarray) -> float:
-    """Entrywise backward-error norm over the interior block.
+class _Bands:
+    """A banded square matrix by its nonzero diagonals: `diag[k]` holds the
+    band A[i, i+k] indexed by row i, zero-padded to the full dimension."""
 
-    Each defect entry is compared against the magnitudes that were actually
-    summed to produce it (plus 1 for the identity/constant part).  This is
-    the sharp float-safe version of a relative residual: an algebra error
-    would register at O(1), while unavoidable rounding in products whose
-    terms reach q^N registers at machine epsilon.
+    def __init__(self, diag: dict[int, np.ndarray]):
+        self.diag = diag
+
+    @classmethod
+    def of(cls, A: np.ndarray, offsets: tuple[int, ...], name: str) -> "_Bands":
+        """The bands `offsets` of A.  An A with a nonzero entry on any other
+        band is refused: the residuals formed from these bands would not
+        describe it."""
+        dim = A.shape[0]
+        if np.count_nonzero(A) != sum(np.count_nonzero(A.diagonal(k)) for k in offsets):
+            rows, cols = np.nonzero(A)
+            stray = ~np.isin(cols - rows, offsets)
+            i, j = int(rows[stray][0]), int(cols[stray][0])
+            raise ValueError(
+                f"{name} has a nonzero entry on band {j - i} (row {i}, column {j}); "
+                f"this model's {name} lives on the bands {offsets}, where band k "
+                f"holds the entries [i, i+k]")
+        diag = {}
+        for k in offsets:
+            v = np.zeros(dim, dtype=A.dtype)
+            v[max(0, -k):dim - max(0, k)] = A.diagonal(k)
+            diag[k] = v
+        return cls(diag)
+
+    @staticmethod
+    def eye(dim: int) -> "_Bands":
+        return _Bands({0: np.ones(dim)})
+
+    def part(self, name: str, imaginary: bool = False) -> "_Bands":
+        """The real bands r with self = r, or self = i r if `imaginary`; a
+        self with a nonzero entry in its other part is refused."""
+        keep, other = (np.imag, np.real) if imaginary else (np.real, np.imag)
+        for k, v in self.diag.items():
+            if np.any(other(v)):
+                kind = "real" if imaginary else "imaginary"
+                raise ValueError(f"{name} has a nonzero {kind} part on band {k}; "
+                                 f"this model's {name} has none")
+        return _Bands({k: np.ascontiguousarray(keep(v)) for k, v in self.diag.items()})
+
+    def __rmul__(self, c) -> "_Bands":
+        return _Bands({k: c * v for k, v in self.diag.items()})
+
+    @property
+    def H(self) -> "_Bands":
+        """The adjoint: band k becomes band -k, read from row i - k."""
+        dim = len(next(iter(self.diag.values())))
+        out = {}
+        for k, v in self.diag.items():
+            w = np.zeros_like(v)
+            w[max(0, k):dim - max(0, -k)] = np.conj(v[max(0, -k):dim - max(0, k)])
+            out[-k] = w
+        return _Bands(out)
+
+
+def _summands(terms, rows: slice, cols: slice):
+    """The elementary summands of sum(c * A @ B) over the terms (c, A, B),
+    or (c, A) for c * A, on the block `rows` x `cols` of the interior:
+    (k, t) with t indexed by the rows for a summand on band k, (None, t)
+    for a dense block.
+
+    A and B are `_Bands` or dense arrays, at most one of them dense.  No
+    band reaches past the interior's margin, so a shifted row or column
+    never leaves the window: each summand is c times one elementwise
+    product, band a of A times band b of B (read from row i + a) landing on
+    band a + b.  c scales the finished product, as it scales a matrix product.
     """
-    d = np.abs(defect[np.ix_(mask, mask)])
-    s = 1.0 + scale[np.ix_(mask, mask)]
-    return float(np.max(d / s)) if d.size else 0.0
+    def moved(s, k):
+        return slice(s.start + k, s.stop + k)
+
+    for c, A, *B in terms:
+        B = B[0] if B else None
+        if B is None and isinstance(A, np.ndarray):
+            yield None, c * A[rows, cols]
+        elif B is None:
+            yield from ((k, c * v[rows]) for k, v in A.diag.items())
+        elif isinstance(A, np.ndarray):   # (M B)[i, j] = M[i, j-k] B[j-k, j]
+            for k, v in B.diag.items():
+                yield None, c * (A[rows, moved(cols, -k)] * v[moved(cols, -k)])
+        elif isinstance(B, np.ndarray):   # (A M)[i, j] = A[i, i+k] M[i+k, j]
+            for k, v in A.diag.items():
+                yield None, c * (v[rows, None] * B[moved(rows, k), cols])
+        else:
+            for a, u in A.diag.items():
+                for b, w in B.diag.items():
+                    yield a + b, c * (u[rows] * w[moved(rows, a)])
 
 
-def _prodmag(*pairs) -> np.ndarray:
-    """Sum of |A|@|B| over (A, B) pairs; entrywise magnitude budget."""
-    total = None
-    for a, b in pairs:
-        term = np.abs(a) @ np.abs(b)
-        total = term if total is None else total + term
-    return total
+def _band_index(rows: slice, cols: slice, k: int) -> tuple[np.ndarray, np.ndarray]:
+    """Positions (local row, local column) of the entries [i, i+k] of the
+    block `rows` x `cols`."""
+    i = np.arange(max(rows.start, cols.start - k), min(rows.stop, cols.stop - k))
+    return i - rows.start, i + k - cols.start
+
+
+# entries per row block of a dense defect: small enough that the block's
+# temporaries are recycled in cache rather than mapped afresh per operation
+_BLOCK_ENTRIES = 1 << 14
+
+
+def _residual(terms, N: int, margin: int = 2) -> float:
+    """Backward-relative residual of the defect sum(c * A @ B) over the
+    terms (c, A, B), or (c, A) for c * A, on the interior block of the
+    labels |n| <= N - margin.
+
+    Each defect entry is compared against the magnitudes of the summands
+    that produce it (plus 1 for the identity/constant part): its budget.
+    This is the sharp float-safe version of a relative residual: an algebra
+    error would register at O(1), while unavoidable rounding in products
+    whose terms reach q^N registers at machine epsilon.  A defect of banded
+    factors only is formed band by band in O(N), and its entries off those
+    bands are exact zeros that do not count; one with a dense factor is
+    formed in blocks of rows, O(N^2) in all.
+    """
+    inner = slice(margin, 2 * N + 1 - margin)
+    if not any(isinstance(M, np.ndarray) for _, *ops in terms for M in ops):
+        defect, budget = {}, {}
+        for k, t in _summands(terms, inner, inner):
+            defect[k] = defect.get(k, 0.0) + t
+            budget[k] = budget.get(k, 0.0) + np.abs(t)
+        worst = 0.0
+        for k in defect:
+            r, _ = _band_index(inner, inner, k)
+            worst = max(worst, float(np.max(np.abs(defect[k][r]) / (1.0 + budget[k][r]),
+                                            initial=0.0)))
+        return worst
+    n = inner.stop - inner.start
+    step = max(1, _BLOCK_ENTRIES // n)
+    worst = 0.0
+    for start in range(inner.start, inner.stop, step):
+        rows = slice(start, min(start + step, inner.stop))
+        defect = budget = 0.0
+        for k, t in _summands(terms, rows, inner):
+            if k is not None:   # a band crossing the block: scatter it
+                r, j = _band_index(rows, inner, k)
+                band, t = t[r], np.zeros((rows.stop - rows.start, n), dtype=t.dtype)
+                t[r, j] = band
+            defect = defect + t
+            budget = budget + np.abs(t)
+        worst = max(worst, float(np.max(np.abs(defect) / (1.0 + budget))))
+    return worst
+
+
+def _phase_bands(rep: PhaseRep) -> tuple[_Bands, _Bands, _Bands]:
+    """P, X, U of the stored block on their bands 0, (-1, 1) and 1."""
+    return (_Bands.of(rep.P, (0,), "P"), _Bands.of(rep.X, (-1, 1), "X"),
+            _Bands.of(rep.U, (1,), "U"))
 
 
 def relation_residuals(rep: PhaseRep) -> dict[str, float]:
-    """Backward-relative interior residuals of the five defining properties."""
-    q = rep.params.q
-    P, X, U = rep.P, rep.X, rep.U
-    mask = _block_interior(rep.params.N)
+    """Backward-relative interior residuals of the five defining properties,
+    formed band by band from the bands of the stored P, X and U."""
+    q, N = rep.params.q, rep.params.N
+    P, X, U = _phase_bands(rep)
     sq = q ** 0.5
-    XP, PX = X @ P, P @ X
-    UX, XU = U @ X, X @ U
-    UP, PU = U @ P, P @ U
-    eye = np.eye(P.shape[0])
     return {
-        "xp_u": _backward_residual(
-            sq * XP - PX / sq - 1j * U,
-            sq * _prodmag((X, P)) + _prodmag((P, X)) / sq + np.abs(U), mask),
-        "ux": _backward_residual(
-            UX - XU / q, _prodmag((U, X)) + _prodmag((X, U)) / q, mask),
-        "up": _backward_residual(
-            UP - q * PU, _prodmag((U, P)) + q * _prodmag((P, U)), mask),
-        "u_unitary": _backward_residual(
-            U.conj().T @ U - eye, _prodmag((U.conj().T, U)) + eye, mask),
-        "p_hermitean": _backward_residual(P.conj().T - P, 2.0 * np.abs(P), mask),
-        "x_hermitean": _backward_residual(X.conj().T - X, 2.0 * np.abs(X), mask),
+        "xp_u": _residual([(sq, X, P), (-1.0 / sq, P, X), (-1j, U)], N),
+        "ux": _residual([(1.0, U, X), (-1.0 / q, X, U)], N),
+        "up": _residual([(1.0, U, P), (-q, P, U)], N),
+        "u_unitary": _residual([(1.0, U.H, U), (-1.0, _Bands.eye(2 * N + 1))], N),
+        "p_hermitean": _residual([(1.0, P.H), (-1.0, P)], N),
+        "x_hermitean": _residual([(1.0, X.H), (-1.0, X)], N),
     }
 
 
@@ -195,7 +323,8 @@ def relation_residuals(rep: PhaseRep) -> dict[str, float]:
 
 def _sector_p(q: float, N: int, s0: float) -> np.ndarray:
     """Band family p[n+d, n] = C_d * s0 * q^n of the plus sector with C_0 = 1,
-    C_d = (-1)^(d-1) q^(d/2) for d >= 1 and C_d = (-1)^d q^(d/2) for d <= -1.
+    C_d = (-1)^(d-1) q^(d/2) for d >= 1 and C_d = (-1)^d q^(d/2) for d <= -1;
+    real, as all its entries are.
 
     This is the unique (up to one imaginary gauge parameter, fixed to zero)
     solution of the averaging identity P = (p + p^dagger)/2 together with
@@ -207,55 +336,67 @@ def _sector_p(q: float, N: int, s0: float) -> np.ndarray:
     base = np.array([s0 * q ** n for n in range(-N, N + 1)])
     coeff = np.array([1.0 if d == 0 else (-1.0) ** (d - (d > 0)) * q ** (d / 2.0)
                       for d in range(1 - dim, dim)])
-    band = np.subtract.outer(np.arange(dim), np.arange(dim)) + (dim - 1)
-    return (coeff[band] * base).astype(complex)
+    # toeplitz[i, j] = coeff[i - j + dim - 1], a strided view of coeff
+    toeplitz = np.lib.stride_tricks.sliding_window_view(coeff[::-1], dim)[::-1]
+    return toeplitz * base
 
 
 @dataclass(frozen=True)
 class Reconstruction:  # plus blocks; sector sigma has (sigma p, sigma x, Lambda)
-    p: np.ndarray
-    x: np.ndarray
-    lam: np.ndarray       # Lambda = q^(-1/2) U^dagger
-    lam_inv: np.ndarray   # pseudo-inverse q^(1/2) U, exact on the interior
+    """The residuals of the six identities of p, x and Lambda on `rep`.  The
+    residuals need only bands and the real p, so the dense operators are
+    formed when first read."""
+    rep: PhaseRep
     residuals: dict[str, float]
+
+    @cached_property
+    def p(self) -> np.ndarray:
+        params = self.rep.params
+        return _sector_p(params.q, params.N, params.s0).astype(complex)
+
+    @cached_property
+    def x(self) -> np.ndarray:
+        q = self.rep.params.q
+        return ((1.0 + q) / (2.0 * q)) * self.rep.X
+
+    @cached_property
+    def lam(self) -> np.ndarray:
+        """Lambda = q^(-1/2) U^dagger."""
+        return self.rep.params.q ** -0.5 * self.rep.U.conj().T
+
+    @cached_property
+    def lam_inv(self) -> np.ndarray:
+        """The pseudo-inverse q^(1/2) U of Lambda, exact on the interior."""
+        return self.rep.params.q ** 0.5 * self.rep.U
 
 
 def reconstruct_pxlambda(rep: PhaseRep) -> Reconstruction:
-    params = rep.params
-    q = params.q
-    x = ((1.0 + q) / (2.0 * q)) * rep.X
-    lam = q ** -0.5 * rep.U.conj().T
-    lam_inv = q ** 0.5 * rep.U
-    p = _sector_p(q, params.N, params.s0)
+    """p, x and Lambda of the stored block with the backward-relative
+    interior residuals of their six identities.
 
-    mask = _block_interior(params.N)
-    eye = np.eye(p.shape[0])
-    px, xp = p @ x, x @ p
-    lam_inv_p = lam_inv @ p
-    lam_x, x_lam = lam @ x, x @ lam
-    lam_p, p_lam = lam @ p, p @ lam
-    pdag = p.conj().T
+    x and Lambda are banded; p fills the block, so its four identities cost
+    O(N^2), one elementwise product per band of the other factor.  p, P and
+    U are real and x = i y is imaginary, so every identity runs in real
+    arithmetic with i factored out, e.g. p x - q x p + i = i (p y - q y p + 1).
+    """
+    params = rep.params
+    q, N = params.q, params.N
+    P, X, U = _phase_bands(rep)
+    P, U = P.part("P"), U.part("U")
+    x_scale = (1.0 + q) / (2.0 * q)
+    y = x_scale * X.part("X", imaginary=True)
+    lam, lam_inv = q ** -0.5 * U.H, q ** 0.5 * U
+    p = _sector_p(q, N, params.s0)
+    pt = p.T   # p^dagger of the real p
     residuals = {
-        "pxq": _backward_residual(
-            px - q * xp + 1j * eye,
-            _prodmag((p, x)) + q * _prodmag((x, p)) + eye, mask),
-        "p_conj": _backward_residual(
-            pdag - lam_inv_p / q,
-            np.abs(pdag) + _prodmag((lam_inv, p)) / q, mask),
-        "p_average": _backward_residual(
-            (p + pdag) / 2.0 - rep.P,
-            (np.abs(p) + np.abs(pdag)) / 2.0 + np.abs(rep.P), mask),
-        "lambda_conj": _backward_residual(
-            lam.conj().T - lam_inv / q,
-            np.abs(lam) + np.abs(lam_inv) / q, mask),
-        "lambda_x": _backward_residual(
-            lam_x - q * x_lam,
-            _prodmag((lam, x)) + q * _prodmag((x, lam)), mask),
-        "lambda_p": _backward_residual(
-            lam_p - p_lam / q,
-            _prodmag((lam, p)) + _prodmag((p, lam)) / q, mask),
+        "pxq": _residual([(1.0, p, y), (-q, y, p), (1.0, _Bands.eye(2 * N + 1))], N),
+        "p_conj": _residual([(1.0, pt), (-1.0 / q, lam_inv, p)], N),
+        "p_average": _residual([(0.5, p), (0.5, pt), (-1.0, P)], N),
+        "lambda_conj": _residual([(1.0, lam.H), (-1.0 / q, lam_inv)], N),
+        "lambda_x": _residual([(1.0, lam, y), (-q, y, lam)], N),
+        "lambda_p": _residual([(1.0, lam, p), (-1.0 / q, p, lam)], N),
     }
-    return Reconstruction(p=p, x=x, lam=lam, lam_inv=lam_inv, residuals=residuals)
+    return Reconstruction(rep=rep, residuals=residuals)
 
 
 # ---------------------------------------------------------------------------

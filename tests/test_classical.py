@@ -139,6 +139,48 @@ def test_integration_matches_closed_form_strong_deformation():
     assert cmp.energy_drift <= 1e-8
 
 
+def array_rhs(t, y, h):
+    """The vector field through the array forms of W and dW/du: the oracle
+    for the scalar `hamilton_rhs`."""
+    x, p = y
+    u = 2.0 * x * p
+    w = w_factor(u, h)
+    wp = w_factor_derivative(u, h)
+    return [2.0 * p * w + 2.0 * x * p * p * wp, -2.0 * p ** 3 * wp]
+
+
+@pytest.mark.parametrize("h", [0.05, 0.1, 0.3])
+def test_scalar_rhs_is_bit_identical_to_array_formula(h):
+    rng = np.random.default_rng(11)
+    p = rng.uniform(-3.0, 3.0, 5000)
+    x = rng.uniform(-1e3, 1e3, 5000) / p   # |x p| up to 1e3
+    for xi, pi in zip(x, p):
+        y = np.array([xi, pi])   # as the solver passes the state
+        assert hamilton_rhs(0.0, y, h) == [float(v) for v in array_rhs(0.0, y, h)]
+
+
+def test_integration_is_bit_identical_to_array_rhs():
+    from scipy.integrate import solve_ivp
+
+    params, tol = ClassicalParams(1.0, 0.1), 1e-9
+    traj = integrate_trajectory(params, 5.0, tol=tol)
+    sol = solve_ivp(array_rhs, (0.0, 5.0), [0.0, initial_momentum(1.0, 0.1)],
+                    args=(0.1,), method="DOP853", rtol=tol, atol=tol * 1e-3,
+                    t_eval=np.linspace(0.0, 5.0, 501))
+    assert traj.x.tobytes() == sol.y[0].tobytes()
+    assert traj.p.tobytes() == sol.y[1].tobytes()
+    assert traj.nfev == sol.nfev
+
+
+def test_trajectory_records_solver_evaluations():
+    first = integrate_trajectory(ClassicalParams(1.0, 0.1), 5.0)
+    second = integrate_trajectory(ClassicalParams(1.0, 0.1), 5.0)
+    assert first.nfev > 0
+    assert first.nfev == second.nfev
+    tight = integrate_trajectory(ClassicalParams(1.0, 0.1), 5.0, tol=1e-11)
+    assert tight.nfev > first.nfev
+
+
 def test_trajectory_energy_drift_tracks_tolerance():
     loose = integrate_trajectory(ClassicalParams(1.0, 0.1), 5.0, tol=1e-6)
     tight = integrate_trajectory(ClassicalParams(1.0, 0.1), 5.0, tol=1e-11)

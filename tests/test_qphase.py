@@ -213,7 +213,7 @@ def test_sector_builders_match_elementwise_formulas():
     assert rep.P.tobytes() == np.diag(s0 * np.power(q, n)).astype(complex).tobytes()
     assert rep.X.tobytes() == X.tobytes()
     assert rep.U.tobytes() == np.diag(np.ones(dim - 1, dtype=complex), 1).tobytes()
-    assert _sector_p(q, N, s0).tobytes() == p.tobytes()
+    assert _sector_p(q, N, s0).astype(complex).tobytes() == p.tobytes()
 
 
 def test_scaling_covariance_is_exact():
@@ -283,6 +283,122 @@ def test_undeformed_commutator_is_not_represented_on_the_lattice():
     defect = rec.x @ rec.p - rec.p @ rec.x - 1j * np.eye(d)
     mask = rep.interior(2)[:d]
     assert np.max(np.abs(defect[np.ix_(mask, mask)])) >= 0.5
+
+
+# ---------------------------------------------------------------------------
+# band-formed residuals against the dense products
+
+
+def _dense_residual(defect, budget, N, margin=2):
+    inner = np.abs(np.arange(-N, N + 1)) <= N - margin
+    at = np.ix_(inner, inner)
+    return float(np.max(np.abs(defect[at]) / (1.0 + budget[at])))
+
+
+def _summed(*pairs):
+    """sum of |A| @ |B| over the pairs: the magnitudes a dense product sums."""
+    return sum(np.abs(a) @ np.abs(b) for a, b in pairs)
+
+
+def dense_relation_residuals(rep):
+    q, N = rep.params.q, rep.params.N
+    P, X, U = rep.P, rep.X, rep.U
+    sq = q ** 0.5
+    eye = np.eye(2 * N + 1)
+    Ud = U.conj().T
+    return {
+        "xp_u": _dense_residual(sq * (X @ P) - (P @ X) / sq - 1j * U,
+                                sq * _summed((X, P)) + _summed((P, X)) / sq + np.abs(U), N),
+        "ux": _dense_residual(U @ X - (X @ U) / q, _summed((U, X)) + _summed((X, U)) / q, N),
+        "up": _dense_residual(U @ P - q * (P @ U), _summed((U, P)) + q * _summed((P, U)), N),
+        "u_unitary": _dense_residual(Ud @ U - eye, _summed((Ud, U)) + eye, N),
+        "p_hermitean": _dense_residual(P.conj().T - P, np.abs(P.conj().T) + np.abs(P), N),
+        "x_hermitean": _dense_residual(X.conj().T - X, np.abs(X.conj().T) + np.abs(X), N),
+    }
+
+
+def dense_reconstruction_residuals(rep):
+    rec = reconstruct_pxlambda(rep)
+    q, N = rep.params.q, rep.params.N
+    p, x, lam, lam_inv = rec.p, rec.x, rec.lam, rec.lam_inv
+    pdag, lamdag, eye = p.conj().T, lam.conj().T, np.eye(2 * N + 1)
+    return rec.residuals, {
+        "pxq": _dense_residual(p @ x - q * (x @ p) + 1j * eye,
+                               _summed((p, x)) + q * _summed((x, p)) + eye, N),
+        "p_conj": _dense_residual(pdag - (lam_inv @ p) / q,
+                                  np.abs(pdag) + _summed((lam_inv, p)) / q, N),
+        "p_average": _dense_residual((p + pdag) / 2.0 - rep.P,
+                                     (np.abs(p) + np.abs(pdag)) / 2.0 + np.abs(rep.P), N),
+        "lambda_conj": _dense_residual(lamdag - lam_inv / q,
+                                       np.abs(lamdag) + np.abs(lam_inv) / q, N),
+        "lambda_x": _dense_residual(lam @ x - q * (x @ lam),
+                                    _summed((lam, x)) + q * _summed((x, lam)), N),
+        "lambda_p": _dense_residual(lam @ p - (p @ lam) / q,
+                                    _summed((lam, p)) + _summed((p, lam)) / q, N),
+    }
+
+
+@pytest.mark.parametrize("q", [1.1, 1.5, 2.0])
+@pytest.mark.parametrize("N", [3, 8, 15])
+@pytest.mark.parametrize("perturbed", [False, True])
+def test_band_residuals_match_dense_products(q, N, perturbed):
+    """Each residual is a defect over its budget, formed either way with the
+    same summands; only the rounding of the sums differs.  Perturbing every
+    entry of P, X and U by a relative 1e-6 (which keeps them on their bands,
+    X imaginary and P, U real) lifts the residuals far above that rounding,
+    so a summand missed or misplaced by either side would show."""
+    rep = rep_for(q=q, N=N, s0=1.0 + 0.37 * (q - 1.0))
+    if perturbed:
+        rng = np.random.default_rng(N)
+        rep = dataclasses.replace(rep, **{
+            name: getattr(rep, name) * (1.0 + 1e-6 * rng.uniform(-1, 1, rep.P.shape))
+            for name in ("P", "X", "U")})
+    pairs = [(relation_residuals(rep), dense_relation_residuals(rep)),
+             dense_reconstruction_residuals(rep)]
+    for band, dense in pairs:
+        assert band.keys() == dense.keys()
+        for key in band:
+            assert abs(band[key] - dense[key]) <= 4 * np.finfo(float).eps, (key, band[key], dense[key])
+
+
+def test_stray_entry_off_the_bands_is_refused():
+    rep = rep_for(q=1.5, N=6, sectors="plus")
+    X = rep.X.copy()
+    X[2, 5] = 1e-3   # band 3, beyond the two off-diagonals
+    stray = dataclasses.replace(rep, X=X)
+    for check in (relation_residuals, reconstruct_pxlambda):
+        with pytest.raises(ValueError, match=r"X has a nonzero entry on band 3 \(row 2, column 5\)"):
+            check(stray)
+    P = rep.P.copy()
+    P[4, 3] = 1.0
+    with pytest.raises(ValueError, match="P has a nonzero entry on band -1"):
+        relation_residuals(dataclasses.replace(rep, P=P))
+
+
+def test_reconstruction_refuses_a_real_part_of_x():
+    rep = rep_for(q=1.5, N=6, sectors="plus")
+    X = rep.X.copy()
+    X[3, 4] += 0.5
+    with pytest.raises(ValueError, match="X has a nonzero real part on band 1"):
+        reconstruct_pxlambda(dataclasses.replace(rep, X=X))
+
+
+@pytest.mark.parametrize("d", [1, 2, 3])
+def test_flipped_band_of_p_breaks_pxq(monkeypatch, d):
+    """p[n+d, n] with its sign flipped no longer solves p x - q x p = -i."""
+    import qdeform.qphase as qphase
+
+    build = qphase._sector_p
+
+    def flipped(q, N, s0):
+        p = build(q, N, s0)
+        i = np.arange(p.shape[0] - d)
+        p[i + d, i] *= -1.0
+        return p
+    rep = rep_for(q=1.5, N=12)
+    assert reconstruct_pxlambda(rep).residuals["pxq"] <= 1e-15
+    monkeypatch.setattr(qphase, "_sector_p", flipped)
+    assert reconstruct_pxlambda(rep).residuals["pxq"] >= 0.1
 
 
 # ---------------------------------------------------------------------------
