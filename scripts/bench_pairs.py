@@ -2,7 +2,7 @@
 """Run alternating parent/change pairs of bench/run.py and summarise them.
 
     python3 scripts/bench_pairs.py --parent REV [--first-seed 1] \\
-        [--probe scripts/probe_exact_kernel.py] [--trace] [--out BENCH_topic.json]
+        [--probe scripts/probe_exact_kernel.py] [--out BENCH_topic.json]
 
 The parent is unpacked from `git archive REV` and the change is the working
 tree's files that `git add -A` would commit, each into a temporary
@@ -28,12 +28,13 @@ change of the medians, and a verdict:
   more than the bound, taken relative to the parent's median;
 - "regression": otherwise.
 
-Every run's values are kept under "runs".  With --trace, each workload also
-runs once per side with --trace 1 (seed first_seed, parent first), and its
-per-layer metrics are kept under "layers": each side's value and the
-relative change, for every layer that either side used (a layer a workload
-never calls reads 0 on both).  They show in which layer a change of the
-end-to-end metrics arises.  With --probe, the given script is
+Every run's values are kept under "runs".  Each workload then runs 2 more
+pairs with --trace 1, alternating which side runs first as above, and their
+per-layer metrics are kept under "layers": each side's median and the
+relative change of the medians, for every layer that either side used (a
+layer a workload never calls reads 0 on both).  They show in which layer a
+change of the end-to-end metrics arises; with one traced run per order the
+run-order bias cancels in the medians.  With --probe, the given script is
 run from this checkout against each tree's sources (PYTHONPATH), in 3
 alternating pairs; it must print one JSON object of timings, reported as
 each side's per-key minimum and median.
@@ -57,6 +58,7 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parent.parent
 PAIRS = 10
 PROBE_PAIRS = 3
+TRACE_PAIRS = 2
 GAIN_WIN_SHARE = 0.9
 
 
@@ -156,13 +158,16 @@ def summarise(metric: dict, parent: list, change: list, more_failures: bool) -> 
             "verdict": verdict}
 
 
-def layer_summary(parent: dict, change: dict) -> dict:
-    """Per-layer values of one traced run per side: each side's value and
-    the relative change, for the layers either side used."""
+def layer_summary(parent: list[dict], change: list[dict]) -> dict:
+    """Per-layer medians of each side's traced runs and their relative
+    change, for the layers either side used."""
     out = {}
-    for name, before in parent.items():
-        after = change.get(name)
-        if after is None or before == after == 0:
+    for name in parent[0]:
+        if not all(name in run for run in parent + change):
+            continue
+        before = statistics.median(run[name] for run in parent)
+        after = statistics.median(run[name] for run in change)
+        if before == after == 0:
             continue
         out[name] = {"parent": before, "change": after,
                      "relative_change": (after - before) / before if before else None}
@@ -176,8 +181,6 @@ def main() -> int:
     ap.add_argument("--parent", required=True, help="parent revision")
     ap.add_argument("--first-seed", type=int, default=1)
     ap.add_argument("--probe", type=Path)
-    ap.add_argument("--trace", action="store_true",
-                    help="also one traced run per side and workload, for the per-layer split")
     ap.add_argument("--out", type=Path)
     args = ap.parse_args()
 
@@ -189,8 +192,7 @@ def main() -> int:
     report = {
         "revisions": revs,
         "settings": {"pairs": PAIRS, "first_seed": args.first_seed,
-                     "seconds": seconds, "trace": 0,
-                     "traced_runs_per_side": 1 if args.trace else 0,
+                     "seconds": seconds, "trace": 0, "traced_pairs": TRACE_PAIRS,
                      "order": "parent first on even pair index"},
         "env": {"python": platform.python_version(), "machine": platform.machine(),
                 "processor": platform.processor() or None,
@@ -221,14 +223,16 @@ def main() -> int:
                                               [r.get(name) for r in runs["change"]],
                                               more_failures)
             report["workloads"][workload] = {"metrics": metrics, "runs": runs}
-            if args.trace:
-                traced = {side: bench_once(trees[side], workload, args.first_seed,
-                                           seconds, trace=1)
-                          for side in ("parent", "change")}
-                print(f"{workload} traced: {traced}", file=sys.stderr)
-                report["workloads"][workload]["layers"] = (
-                    layer_summary(traced["parent"], traced["change"])
-                    if not any("error" in t for t in traced.values()) else traced)
+            traced = {"parent": [], "change": []}
+            for i in range(TRACE_PAIRS):
+                seed = args.first_seed + i
+                for side in ordered(i):
+                    values = bench_once(trees[side], workload, seed, seconds, trace=1)
+                    traced[side].append(values)
+                    print(f"{workload} traced seed {seed} {side}: {values}", file=sys.stderr)
+            report["workloads"][workload]["layers"] = (
+                traced if any("error" in r for side in traced.values() for r in side)
+                else layer_summary(traced["parent"], traced["change"]))
 
         if args.probe:
             samples = {"parent": [], "change": []}

@@ -62,16 +62,21 @@ def test_fails_more_reads_errors_and_ok_frac():
     assert not bench_pairs.fails_more(ran, [{"ok_frac": 1.0}] * 3)
 
 
-def test_layer_summary_keeps_the_layers_either_side_used():
-    parent = {"qphase.relation_residuals.busy_s": 0.12, "cli.qnum_s": 0.0,
-              "classical.compare_closed_form.busy_s": 1.2, "suq2.dim_total": 0.0}
-    change = {"qphase.relation_residuals.busy_s": 0.003, "cli.qnum_s": 0.0,
-              "classical.compare_closed_form.busy_s": 0.6, "suq2.dim_total": 4.0}
+def test_layer_summary_takes_each_sides_median_over_the_layers_either_used():
+    parent = [{"qphase.relation_residuals.busy_s": 0.12, "cli.qnum_s": 0.0,
+               "classical.compare_closed_form.busy_s": 1.0, "suq2.dim_total": 0.0},
+              {"qphase.relation_residuals.busy_s": 0.14, "cli.qnum_s": 0.0,
+               "classical.compare_closed_form.busy_s": 1.4, "suq2.dim_total": 0.0}]
+    change = [{"qphase.relation_residuals.busy_s": 0.004, "cli.qnum_s": 0.0,
+               "classical.compare_closed_form.busy_s": 0.5, "suq2.dim_total": 4.0},
+              {"qphase.relation_residuals.busy_s": 0.002, "cli.qnum_s": 0.0,
+               "classical.compare_closed_form.busy_s": 0.7, "suq2.dim_total": 4.0,
+               "only.change_s": 1.0}]
     layers = bench_pairs.layer_summary(parent, change)
     assert set(layers) == {"qphase.relation_residuals.busy_s",
                            "classical.compare_closed_form.busy_s", "suq2.dim_total"}
     assert layers["classical.compare_closed_form.busy_s"] == {
         "parent": 1.2, "change": 0.6, "relative_change": -0.5}
-    assert layers["qphase.relation_residuals.busy_s"]["relative_change"] == (0.003 - 0.12) / 0.12
+    assert layers["qphase.relation_residuals.busy_s"]["relative_change"] == (0.003 - 0.13) / 0.13
     # a layer only the change calls has no relative change
     assert layers["suq2.dim_total"]["relative_change"] is None

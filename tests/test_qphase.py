@@ -246,8 +246,11 @@ def test_reconstructed_operator_scalings():
     rec = reconstruct_pxlambda(rep)
     q = 1.5
     assert np.array_equal(rec.x, ((1.0 + q) / (2.0 * q)) * rep.X)
-    assert np.array_equal(rec.lam, q ** -0.5 * rep.U.conj().T)
-    assert np.array_equal(rec.lam_inv, q ** 0.5 * rep.U)
+    # Lambda lowers n by one with weight q^(-1/2); lam_inv undoes it inside
+    d = rep.P.shape[0]
+    assert np.array_equal(rec.lam, np.diag(np.full(d - 1, q ** -0.5), -1))
+    assert np.array_equal(rec.lam_inv, np.diag(np.full(d - 1, q ** 0.5), 1))
+    assert np.allclose((rec.lam @ rec.lam_inv)[1:, 1:], np.eye(d - 1), rtol=0, atol=1e-15)
 
 
 def test_reconstructed_band_coefficients_oracle():
