@@ -19,7 +19,7 @@ with maxima spaced by pi/(2*E*h).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import cos, cosh, exp, pi, sin, sinh, sqrt
+from math import cos, cosh, exp, isfinite, pi, sin, sinh, sqrt
 
 import numpy as np
 
@@ -156,6 +156,9 @@ class Trajectory:
 
 def integrate_trajectory(params: ClassicalParams, t_max: float,
                          tol: float = 1e-9, n_samples: int = 501) -> Trajectory:
+    for name, value in (("t_max", t_max), ("tol", tol)):
+        if not (value > 0.0 and isfinite(value)):
+            raise ValueError(f"{name} must be finite and > 0, got {value}")
     # imported here: scipy.integrate costs most of `import qdeform`
     from scipy.integrate import solve_ivp
 

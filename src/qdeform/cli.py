@@ -345,11 +345,19 @@ def _cmd_classical(args, out: _Output) -> int:
 # argument parsing
 
 
+def _tolerance(text: str) -> float:
+    """A --tol value: a finite float > 0."""
+    value = float(text)
+    if not (value > 0.0 and np.isfinite(value)):
+        raise argparse.ArgumentTypeError(f"must be a finite number > 0, got {text!r}")
+    return value
+
+
 def _add_common_output(parser: argparse.ArgumentParser):
     parser.add_argument("--json", action="store_true", help="emit JSON")
     parser.add_argument("--csv", action="store_true", help="emit CSV")
     parser.add_argument("--out", help="write output to a file")
-    parser.add_argument("--tol", type=float, default=None,
+    parser.add_argument("--tol", type=_tolerance, default=None,
                         help="override the default check tolerance")
 
 

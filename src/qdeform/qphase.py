@@ -15,18 +15,15 @@ precision cannot produce absolute defects below machine epsilon times
 those scales, while any genuine algebra error would still register at
 order one.
 
-The residuals are formed band by band from the nonzero diagonals of the
-stored P, X and U: a product of bands a and b lands on band a + b, so the
+The block is stored by its bands (`PhaseRep`), and the residuals are formed
+band by band: a product of bands a and b lands on band a + b, so the
 defining relations cost O(N) and the identities of the reconstructed p,
-which fills the block, O(N^2), with no matrix product.  A stored operator
-with a nonzero entry off the bands this model gives it is refused with a
-ValueError that names the operator and the band.
+which fills the block, O(N^2), with no matrix product.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
 from math import inf, isfinite, log
 from sys import float_info
 
@@ -88,8 +85,11 @@ def _block_interior(N: int, margin: int = 2) -> np.ndarray:
 
 @dataclass(frozen=True)
 class PhaseRep:
-    """`P`, `X`, `U` are the sigma = +1 block; `labels`, `dim` and `interior`
-    describe the full space of the sectors present, in the order of `full`."""
+    """The sigma = +1 block by its bands, as real vectors: `P` is the
+    diagonal s0*q^n (length 2N+1), `X` the bonds b (length 2N) with
+    X[k, k+1] = i*b[k] and X[k+1, k] = -i*b[k], and `U` the superdiagonal
+    (length 2N).  `labels`, `dim` and `interior` describe the full space of
+    the sectors present, one sector after the other."""
 
     params: PhaseParams
     labels: tuple[tuple[int, int], ...]  # (n, sigma) per basis vector
@@ -105,37 +105,18 @@ class PhaseRep:
         sectors = len(SECTOR_SIGNS[self.params.sectors])
         return np.tile(_block_interior(self.params.N, margin), sectors)
 
-    def full(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """Block-diagonal (P, X, U) on the sectors present.  A minus block is
-        0 - block: unlike -block it keeps zeros +0.0, bit for bit as a sector
-        built with its own sign."""
-        d = self.P.shape[0]
-        out = tuple(np.zeros((self.dim, self.dim), dtype=complex) for _ in range(3))
-        for k, sigma in enumerate(SECTOR_SIGNS[self.params.sectors]):
-            at = slice(k * d, (k + 1) * d)
-            for M, block in zip(out, (self.P, self.X)):
-                M[at, at] = block if sigma > 0 else 0.0 - block
-            out[2][at, at] = self.U
-        return out
-
 
 def build_phase_rep(params: PhaseParams) -> PhaseRep:
     q, N, s0 = params.q, params.N, params.s0
-    dim = 2 * N + 1
     n = np.arange(-N, N + 1, dtype=float)
     # bond (i-1, i) joins column labels n[i-1] and n[i]; the upper entry of
     # column n[i] and the lower entry of column n[i-1] share the exponent
-    # -n[i] + 1/2, so X is hermitean bit for bit
-    bond = np.power(q, -n[1:] + 0.5) / (q - 1.0 / q) * (1.0 / s0)
-    i = np.arange(1, dim)
-    X = np.zeros((dim, dim), dtype=complex)
-    X.imag[i - 1, i] = bond
-    X.imag[i, i - 1] = -bond
+    # -n[i] + 1/2, so one bond serves both and X is hermitean bit for bit
+    bonds = np.power(q, -n[1:] + 0.5) / (q - 1.0 / q) * (1.0 / s0)
     labels = tuple((k, sigma) for sigma in SECTOR_SIGNS[params.sectors]
                    for k in range(-N, N + 1))
-    return PhaseRep(params=params, labels=labels,
-                    P=np.diag(s0 * np.power(q, n)).astype(complex), X=X,
-                    U=np.eye(dim, k=1, dtype=complex))
+    return PhaseRep(params=params, labels=labels, P=s0 * np.power(q, n), X=bonds,
+                    U=np.ones(2 * N))
 
 
 # ---------------------------------------------------------------------------
@@ -150,59 +131,37 @@ def build_phase_rep(params: PhaseParams) -> PhaseRep:
 
 
 class _Bands:
-    """A banded square matrix by its nonzero diagonals: `diag[k]` holds the
-    band A[i, i+k] indexed by row i, zero-padded to the full dimension."""
+    """A real banded square matrix by its nonzero diagonals: `diag[k]` holds
+    the band A[i, i+k] indexed by row i, zero-padded to the full dimension."""
 
     def __init__(self, diag: dict[int, np.ndarray]):
         self.diag = diag
 
     @classmethod
-    def of(cls, A: np.ndarray, offsets: tuple[int, ...], name: str) -> "_Bands":
-        """The bands `offsets` of A.  An A with a nonzero entry on any other
-        band is refused: the residuals formed from these bands would not
-        describe it."""
-        dim = A.shape[0]
-        if np.count_nonzero(A) != sum(np.count_nonzero(A.diagonal(k)) for k in offsets):
-            rows, cols = np.nonzero(A)
-            stray = ~np.isin(cols - rows, offsets)
-            i, j = int(rows[stray][0]), int(cols[stray][0])
-            raise ValueError(
-                f"{name} has a nonzero entry on band {j - i} (row {i}, column {j}); "
-                f"this model's {name} lives on the bands {offsets}, where band k "
-                f"holds the entries [i, i+k]")
-        diag = {}
-        for k in offsets:
-            v = np.zeros(dim, dtype=A.dtype)
-            v[max(0, -k):dim - max(0, k)] = A.diagonal(k)
-            diag[k] = v
-        return cls(diag)
+    def padded(cls, dim: int, diag: dict[int, np.ndarray]) -> "_Bands":
+        """The bands `diag`, band k given by its dim - |k| entries."""
+        out = {}
+        for k, band in diag.items():
+            v = np.zeros(dim)
+            v[max(0, -k):dim - max(0, k)] = band
+            out[k] = v
+        return cls(out)
 
     @staticmethod
     def eye(dim: int) -> "_Bands":
         return _Bands({0: np.ones(dim)})
 
-    def part(self, name: str, imaginary: bool = False) -> "_Bands":
-        """The real bands r with self = r, or self = i r if `imaginary`; a
-        self with a nonzero entry in its other part is refused."""
-        keep, other = (np.imag, np.real) if imaginary else (np.real, np.imag)
-        for k, v in self.diag.items():
-            if np.any(other(v)):
-                kind = "real" if imaginary else "imaginary"
-                raise ValueError(f"{name} has a nonzero {kind} part on band {k}; "
-                                 f"this model's {name} has none")
-        return _Bands({k: np.ascontiguousarray(keep(v)) for k, v in self.diag.items()})
-
     def __rmul__(self, c) -> "_Bands":
         return _Bands({k: c * v for k, v in self.diag.items()})
 
     @property
-    def H(self) -> "_Bands":
-        """The adjoint: band k becomes band -k, read from row i - k."""
+    def T(self) -> "_Bands":
+        """The transpose: band k becomes band -k, read from row i - k."""
         dim = len(next(iter(self.diag.values())))
         out = {}
         for k, v in self.diag.items():
             w = np.zeros_like(v)
-            w[max(0, k):dim - max(0, -k)] = np.conj(v[max(0, -k):dim - max(0, k)])
+            w[max(0, k):dim - max(0, -k)] = v[max(0, -k):dim - max(0, k)]
             out[-k] = w
         return _Bands(out)
 
@@ -296,24 +255,30 @@ def _residual(terms, N: int, margin: int = 2) -> float:
 
 
 def _phase_bands(rep: PhaseRep) -> tuple[_Bands, _Bands, _Bands]:
-    """P, X, U of the stored block on their bands 0, (-1, 1) and 1."""
-    return (_Bands.of(rep.P, (0,), "P"), _Bands.of(rep.X, (-1, 1), "X"),
-            _Bands.of(rep.U, (1,), "U"))
+    """P, Y = -i X and U of the stored block on their bands 0, (-1, 1) and
+    1; all three are real."""
+    dim = 2 * rep.params.N + 1
+    return (_Bands.padded(dim, {0: rep.P}),
+            _Bands.padded(dim, {-1: 0.0 - rep.X, 1: rep.X}),
+            _Bands.padded(dim, {1: rep.U}))
 
 
 def relation_residuals(rep: PhaseRep) -> dict[str, float]:
     """Backward-relative interior residuals of the five defining properties,
-    formed band by band from the bands of the stored P, X and U."""
+    formed band by band.  P and U are real and X = i Y is imaginary, so each
+    runs in real arithmetic with i factored out, e.g.
+    sqrt(q) X P - P X / sqrt(q) - i U = i (sqrt(q) Y P - P Y / sqrt(q) - U)
+    and X^dagger - X = -i (Y^T + Y)."""
     q, N = rep.params.q, rep.params.N
-    P, X, U = _phase_bands(rep)
+    P, Y, U = _phase_bands(rep)
     sq = q ** 0.5
     return {
-        "xp_u": _residual([(sq, X, P), (-1.0 / sq, P, X), (-1j, U)], N),
-        "ux": _residual([(1.0, U, X), (-1.0 / q, X, U)], N),
+        "xp_u": _residual([(sq, Y, P), (-1.0 / sq, P, Y), (-1.0, U)], N),
+        "ux": _residual([(1.0, U, Y), (-1.0 / q, Y, U)], N),
         "up": _residual([(1.0, U, P), (-q, P, U)], N),
-        "u_unitary": _residual([(1.0, U.H, U), (-1.0, _Bands.eye(2 * N + 1))], N),
-        "p_hermitean": _residual([(1.0, P.H), (-1.0, P)], N),
-        "x_hermitean": _residual([(1.0, X.H), (-1.0, X)], N),
+        "u_unitary": _residual([(1.0, U.T, U), (-1.0, _Bands.eye(2 * N + 1))], N),
+        "p_hermitean": _residual([(1.0, P.T), (-1.0, P)], N),
+        "x_hermitean": _residual([(1.0, Y.T), (1.0, Y)], N),
     }
 
 
@@ -342,37 +307,17 @@ def _sector_p(q: float, N: int, s0: float) -> np.ndarray:
 
 
 @dataclass(frozen=True)
-class Reconstruction:  # plus blocks; sector sigma has (sigma p, sigma x, Lambda)
-    """The residuals of the six identities of p, x and Lambda on `rep`.  The
-    residuals need only bands and the real p, so the dense operators are
-    formed when first read."""
-    rep: PhaseRep
+class Reconstruction:
+    """The residuals of the six identities of p, x and Lambda on the stored
+    block; sector sigma has (sigma p, sigma x, Lambda) and the same
+    residuals."""
     residuals: dict[str, float]
-
-    @cached_property
-    def p(self) -> np.ndarray:
-        params = self.rep.params
-        return _sector_p(params.q, params.N, params.s0).astype(complex)
-
-    @cached_property
-    def x(self) -> np.ndarray:
-        q = self.rep.params.q
-        return ((1.0 + q) / (2.0 * q)) * self.rep.X
-
-    @cached_property
-    def lam(self) -> np.ndarray:
-        """Lambda = q^(-1/2) U^dagger."""
-        return self.rep.params.q ** -0.5 * self.rep.U.conj().T
-
-    @cached_property
-    def lam_inv(self) -> np.ndarray:
-        """The pseudo-inverse q^(1/2) U of Lambda, exact on the interior."""
-        return self.rep.params.q ** 0.5 * self.rep.U
 
 
 def reconstruct_pxlambda(rep: PhaseRep) -> Reconstruction:
-    """p, x and Lambda of the stored block with the backward-relative
-    interior residuals of their six identities.
+    """The backward-relative interior residuals of the six identities of the
+    reconstructed p, x = ((1 + q)/(2q)) X and Lambda = q^(-1/2) U^dagger,
+    with the pseudo-inverse q^(1/2) U of Lambda, exact on the interior.
 
     x and Lambda are banded; p fills the block, so its four identities cost
     O(N^2), one elementwise product per band of the other factor.  p, P and
@@ -381,22 +326,20 @@ def reconstruct_pxlambda(rep: PhaseRep) -> Reconstruction:
     """
     params = rep.params
     q, N = params.q, params.N
-    P, X, U = _phase_bands(rep)
-    P, U = P.part("P"), U.part("U")
-    x_scale = (1.0 + q) / (2.0 * q)
-    y = x_scale * X.part("X", imaginary=True)
-    lam, lam_inv = q ** -0.5 * U.H, q ** 0.5 * U
+    P, Y, U = _phase_bands(rep)
+    y = ((1.0 + q) / (2.0 * q)) * Y
+    lam, lam_inv = q ** -0.5 * U.T, q ** 0.5 * U
     p = _sector_p(q, N, params.s0)
     pt = p.T   # p^dagger of the real p
     residuals = {
         "pxq": _residual([(1.0, p, y), (-q, y, p), (1.0, _Bands.eye(2 * N + 1))], N),
         "p_conj": _residual([(1.0, pt), (-1.0 / q, lam_inv, p)], N),
         "p_average": _residual([(0.5, p), (0.5, pt), (-1.0, P)], N),
-        "lambda_conj": _residual([(1.0, lam.H), (-1.0 / q, lam_inv)], N),
+        "lambda_conj": _residual([(1.0, lam.T), (-1.0 / q, lam_inv)], N),
         "lambda_x": _residual([(1.0, lam, y), (-q, y, lam)], N),
         "lambda_p": _residual([(1.0, lam, p), (-1.0 / q, p, lam)], N),
     }
-    return Reconstruction(rep=rep, residuals=residuals)
+    return Reconstruction(residuals=residuals)
 
 
 # ---------------------------------------------------------------------------
@@ -532,7 +475,7 @@ def x_eigensystem(rep: PhaseRep):
     """
     _require_doubled(rep)
     N = rep.params.N
-    [(vals, vecs)], *defects = _solve_ladders(rep, rep.X.imag.diagonal(1))
+    [(vals, vecs)], *defects = _solve_ladders(rep, rep.X)
     zero = np.zeros_like(vecs)
     return _ladder_report(rep, np.concatenate([vals, -vals]),
                           np.block([[vecs, zero], [zero, vecs]]),
@@ -551,12 +494,18 @@ def sector_coupled_x(rep: PhaseRep) -> np.ndarray:
     between n = -N and n = -N+1 and adds the hermitean cross entries
     (-1)^(N-1) b/2 at ((-N,+), (-N+1,-)) and (-1)^N b/2 at
     ((-N,-), (-N+1,+)).  Every changed entry has a row or column at n = -N,
-    so the interior is bit-identical to the doubled X of `rep.full()`.
+    so the interior is bit-identical to the block-diagonal doubled X, which
+    is X_+ on the plus sector and -X_+ on the minus sector.
     """
     _require_doubled(rep)
     N = rep.params.N
-    plus, minus = 0, 2 * N + 1          # indices of (-N,+) and (-N,-)
-    X = rep.full()[1]
+    d = 2 * N + 1
+    plus, minus = 0, d          # indices of (-N,+) and (-N,-)
+    col = np.concatenate([np.arange(1, d), np.arange(d + 1, 2 * d)])  # no bond joins the sectors
+    bonds = np.concatenate([rep.X, 0.0 - rep.X])
+    X = np.zeros((2 * d, 2 * d), dtype=complex)
+    X.imag[col - 1, col] = bonds
+    X.imag[col, col - 1] = 0.0 - bonds
     b = X[plus, plus + 1]
     for i in (plus, minus):
         X[i, i + 1] /= 2.0
@@ -588,8 +537,7 @@ def x_extension_eigensystem(rep: PhaseRep):
     """
     _require_doubled(rep)
     N = rep.params.N
-    bonds = rep.X.imag.diagonal(1)
-    [(even, u), (odd, w)], *defects = _solve_ladders(rep, bonds, bonds[1:])
+    [(even, u), (odd, w)], *defects = _solve_ladders(rep, rep.X, rep.X[1:])
     v = np.zeros_like(u)   # the odd ladder, then the null vector at n = -N
     v[1:, :-1] = w
     v[0, -1] = 1.0
@@ -606,8 +554,7 @@ def x_extension_eigensystem(rep: PhaseRep):
 
 def hamiltonian_energies(rep: PhaseRep) -> np.ndarray:
     """Diagonal of H = P^2/2 in basis order (not sorted), one copy per sector."""
-    block = 0.5 * np.real(np.diag(rep.P)) ** 2
-    return np.tile(block, len(SECTOR_SIGNS[rep.params.sectors]))
+    return np.tile(0.5 * rep.P ** 2, len(SECTOR_SIGNS[rep.params.sectors]))
 
 
 def hamiltonian_spectrum(rep: PhaseRep) -> np.ndarray:

@@ -22,7 +22,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import gcd, isqrt, lcm
+from math import gcd, isfinite, isqrt, lcm
 
 
 class QExactError(ValueError):
@@ -653,10 +653,16 @@ def q_number(n, r: int) -> QExact:
 
 
 def q_number_value(n, r: int, q: float) -> float:
-    """Floating [n]_r for any half-integer (or real) index n."""
+    """Floating [n]_r for any half-integer (or real) index n and finite q > 0."""
     if r == 0:
         raise QExactError("q-number base r must be nonzero")
+    if not (q > 0.0 and isfinite(q)):
+        raise ValueError(f"q-number evaluation needs a finite q > 0, got q = {q}")
     if q == 1.0:
         return float(n)
     nf = float(n)
-    return (1.0 - q ** (r * nf)) / (1.0 - q ** r)
+    try:
+        return (1.0 - q ** (r * nf)) / (1.0 - q ** r)
+    except OverflowError:
+        raise ValueError(f"[{n}]_{r} overflows a double at q = {q}: q^(r*n) is out of "
+                         f"range; use a smaller |n| (or |r|)") from None

@@ -16,7 +16,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import sqrt
+from math import isfinite, sqrt
 
 import numpy as np
 
@@ -78,8 +78,8 @@ def build_rep(j, q: float) -> Suq2Rep:
     j = HalfInt.coerce(j)
     if j.twice < 0:
         raise ValueError("spin label must be nonnegative")
-    if not q >= 1.0:
-        raise ValueError("deformation parameter must satisfy q >= 1")
+    if not (q >= 1.0 and isfinite(q)):
+        raise ValueError("deformation parameter must be finite and satisfy q >= 1")
     basis = tuple(halfint_range_desc(j))
     dim = len(basis)
     index = {m.twice: k for k, m in enumerate(basis)}
@@ -87,19 +87,23 @@ def build_rep(j, q: float) -> Suq2Rep:
     T3 = np.zeros((dim, dim), dtype=complex)
     Tp = np.zeros((dim, dim), dtype=complex)
     Tm = np.zeros((dim, dim), dtype=complex)
-    for m in basis:
-        k = index[m.twice]
-        T3[k, k] = (1.0 / q) * _qn(m.twice, -2, q)
-        jp_m = (j + m).as_int()
-        jm_m = (j - m).as_int()
-        if m.twice < j.twice:  # raising entry m -> m+1
-            rad = _qn(jp_m + 1, -2, q) * _qn(jm_m, 2, q)
-            assert rad >= 0.0, "negative radicand cannot occur for q >= 1"
-            Tp[index[m.twice + 2], k] = (1.0 / q) * sqrt(rad)
-        if m.twice > -j.twice:  # lowering entry m -> m-1
-            rad = _qn(jp_m, -2, q) * _qn(jm_m + 1, 2, q)
-            assert rad >= 0.0, "negative radicand cannot occur for q >= 1"
-            Tm[index[m.twice - 2], k] = q * sqrt(rad)
+    try:
+        for m in basis:
+            k = index[m.twice]
+            T3[k, k] = (1.0 / q) * _qn(m.twice, -2, q)
+            jp_m = (j + m).as_int()
+            jm_m = (j - m).as_int()
+            if m.twice < j.twice:  # raising entry m -> m+1
+                rad = _qn(jp_m + 1, -2, q) * _qn(jm_m, 2, q)
+                assert rad >= 0.0, "negative radicand cannot occur for q >= 1"
+                Tp[index[m.twice + 2], k] = (1.0 / q) * sqrt(rad)
+            if m.twice > -j.twice:  # lowering entry m -> m-1
+                rad = _qn(jp_m, -2, q) * _qn(jm_m + 1, 2, q)
+                assert rad >= 0.0, "negative radicand cannot occur for q >= 1"
+                Tm[index[m.twice - 2], k] = q * sqrt(rad)
+    except OverflowError:
+        raise ValueError(f"the q-numbers of spin j = {j} overflow a double at q = {q}; "
+                         f"use a smaller j") from None
     lam = q - 1.0 / q
     tau = np.eye(dim, dtype=complex) - lam * T3
     return Suq2Rep(q=q, T3=T3, Tplus=Tp, Tminus=Tm, tau=tau, j=j, basis=basis)

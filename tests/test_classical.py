@@ -181,6 +181,17 @@ def test_trajectory_records_solver_evaluations():
     assert tight.nfev > first.nfev
 
 
+@pytest.mark.parametrize("kwargs, name", [
+    ({"t_max": float("nan")}, "t_max"), ({"t_max": float("inf")}, "t_max"),
+    ({"t_max": 0.0}, "t_max"), ({"t_max": -1.0}, "t_max"),
+    ({"tol": float("nan")}, "tol"), ({"tol": 0.0}, "tol"), ({"tol": -1e-9}, "tol"),
+])
+def test_integration_refuses_bad_horizon_or_tolerance(kwargs, name):
+    args = {"t_max": 5.0, **kwargs}
+    with pytest.raises(ValueError, match=f"^{name} must be finite and > 0"):
+        integrate_trajectory(ClassicalParams(1.0, 0.1), **args)
+
+
 def test_trajectory_energy_drift_tracks_tolerance():
     loose = integrate_trajectory(ClassicalParams(1.0, 0.1), 5.0, tol=1e-6)
     tight = integrate_trajectory(ClassicalParams(1.0, 0.1), 5.0, tol=1e-11)

@@ -51,6 +51,19 @@ def test_qnum_numeric_requires_q(capsys):
     assert "needs --q" in err
 
 
+def test_qnum_overflow_asks_for_a_smaller_n(capsys):
+    code, out, err = run(capsys, "qnum", "--n", "10000", "--r", "1", "--q", "1.5")
+    assert code == 2 and out == ""
+    assert "overflows a double" in err and "use a smaller |n|" in err
+
+
+@pytest.mark.parametrize("q", ["-2", "nan", "inf"])
+def test_qnum_needs_finite_positive_q(capsys, q):
+    code, out, err = run(capsys, "qnum", "--n", "2.5", "--r", "1", "--q", q)
+    assert code == 2 and out == ""
+    assert "finite q > 0" in err
+
+
 # ---------------------------------------------------------------------------
 # representations and tensor products
 
@@ -77,6 +90,18 @@ def test_rep_invalid_q_usage_error(capsys):
     assert code == 2
     assert out == ""
     assert "q >= 1" in err
+
+
+def test_rep_infinite_q_usage_error(capsys):
+    code, out, err = run(capsys, "rep", "--j", "1", "--q", "inf")
+    assert code == 2 and out == ""
+    assert "finite" in err and "q >= 1" in err
+
+
+def test_rep_overflow_asks_for_a_smaller_j(capsys):
+    code, out, err = run(capsys, "rep", "--j", "200", "--q", "3")
+    assert code == 2 and out == ""
+    assert "j = 200" in err and "use a smaller j" in err
 
 
 def test_tensor_decomposition(capsys):
@@ -335,8 +360,30 @@ def test_classical_invalid_params(capsys):
     assert "positive" in err
 
 
+@pytest.mark.parametrize("t_max", ["nan", "inf", "0", "-1"])
+def test_classical_traj_refuses_bad_t_max(capsys, t_max):
+    code, out, err = run(capsys, "classical", "traj", "--E", "1", "--h", "0.1",
+                         "--t-max", t_max)
+    assert code == 2 and out == ""
+    assert "t_max must be finite and > 0" in err
+
+
 # ---------------------------------------------------------------------------
 # interface behavior
+
+
+@pytest.mark.parametrize("argv", [
+    ("phase", "rep", "--q", "1.5", "--N", "20"),
+    ("phase", "reconstruct", "--q", "1.5", "--N", "20"),
+    ("rep", "--j", "1", "--q", "1.5", "--check"),
+    ("classical", "verify", "--E", "1", "--h", "0.1"),
+])
+@pytest.mark.parametrize("tol", ["nan", "0", "-1", "inf"])
+def test_tolerance_must_be_finite_and_positive(capsys, argv, tol):
+    """A NaN tolerance passed every check and a zero one hung the integrator."""
+    code, out, err = run(capsys, *argv, "--tol", tol)
+    assert code == 2 and out == ""
+    assert "argument --tol: must be a finite number > 0" in err
 
 
 def test_unknown_command_is_usage_error(capsys):

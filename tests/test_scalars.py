@@ -90,6 +90,18 @@ def test_q_number_value_q1_is_classical():
     assert q_number_value(4, 1, 1.0) == 4.0
 
 
+@pytest.mark.parametrize("q", [0.0, -2.0, float("nan"), float("inf")])
+def test_q_number_value_needs_finite_positive_q(q):
+    with pytest.raises(ValueError, match="finite q > 0"):
+        q_number_value(Fraction(5, 2), 1, q)
+
+
+def test_q_number_value_overflow_names_the_index():
+    assert q_number_value(10, 1, 0.7) == pytest.approx((1 - 0.7 ** 10) / 0.3, rel=1e-14)
+    with pytest.raises(ValueError, match=r"use a smaller \|n\|"):
+        q_number_value(10000, 1, 1.5)
+
+
 # ---------------------------------------------------------------------------
 # oracle: golden rendering strings (frozen by hand from the format contract)
 

@@ -104,6 +104,17 @@ def test_rep_structure():
     assert np.allclose(np.diag(rep.tau), expected, atol=1e-14)
 
 
+@pytest.mark.parametrize("q", [0.9, float("inf"), float("nan")])
+def test_build_rep_needs_finite_q_at_least_one(q):
+    with pytest.raises(ValueError, match="finite and satisfy q >= 1"):
+        build_rep(1, q)
+
+
+def test_build_rep_overflow_asks_for_a_smaller_j():
+    with pytest.raises(ValueError, match="spin j = 200 overflow a double at q = 3.0; use a smaller j"):
+        build_rep(200, 3.0)
+
+
 def test_q_one_reduces_to_su2_normalization():
     rep = build_rep(Fraction(1, 2), 1.0)
     assert np.allclose(rep.T3, np.diag([1.0, -1.0]))
