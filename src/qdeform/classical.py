@@ -227,6 +227,9 @@ class SpacingReport:
 
 def estimate_maxima_spacing(params: ClassicalParams, t_start: float,
                             t_end: float, min_maxima: int = 3) -> SpacingReport:
+    for name, value in (("t_start", t_start), ("t_end", t_end)):
+        if not isfinite(value):
+            raise ValueError(f"{name} must be finite, got {value}")
     predicted = pi / (2.0 * params.energy * params.h)
     dt = predicted / 200.0
     t = np.arange(t_start, t_end, dt)

@@ -37,7 +37,6 @@ from .qphase import (
 )
 from .scalars import HalfInt, QExactError, q_number, q_number_value
 from .suq2 import (
-    DecompositionError,
     algebra_residuals,
     build_rep,
     casimir_decompose,
@@ -141,12 +140,8 @@ def _cmd_rep(args, out: _Output) -> int:
 def _cmd_tensor(args, out: _Output) -> int:
     j1 = HalfInt.coerce(Fraction(args.j))
     j2 = HalfInt.coerce(Fraction(args.j2)) if args.j2 is not None else j1
-    try:
-        left, right = build_rep(j1, args.q), build_rep(j2, args.q)
-        product = coproduct(left, right)
-        decomposition = casimir_decompose(product)
-    except DecompositionError as exc:
-        return _fail(str(exc), 1)
+    product = coproduct(build_rep(j1, args.q), build_rep(j2, args.q))
+    decomposition = casimir_decompose(product)
     residual = max(max(algebra_residuals(product)),
                    max(conjugation_residuals(product)))
     tol = args.tol if args.tol is not None else 1e-12
@@ -436,7 +431,7 @@ def main(argv=None) -> int:
         code = args.handler(args, out)
     except ValueError as exc:  # every usage error of the library subclasses it
         return _fail(str(exc), 2)
-    except RuntimeError as exc:  # DivergedError, SpectrumWindowError, InsufficientRangeError
+    except RuntimeError as exc:  # every computation failure of the library subclasses it
         return _fail(str(exc), 1)
     out.flush()
     return code

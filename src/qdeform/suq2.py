@@ -9,11 +9,13 @@ defining relations are
     q^(-2) T3 T- -  q^2  T- T3       = -(q + 1/q) T-
 
 with conjugation T3^† = T3 and T+^† = q^(-2) T-, and the diagonal scaling
-operator tau = 1 - (q - 1/q) T3 = q^(-4m).
+operator tau = 1 - (q - 1/q) T3 = q^(-4m).  For q >= 1 every entry is real,
+and the floating representations store T3 and tau by their diagonals.
 """
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from math import isfinite, sqrt
@@ -35,8 +37,8 @@ class SingularLimitError(ValueError):
     """Raised when a construction needs q != 1 (deformation scale vanishes)."""
 
 
-class DecompositionError(ValueError):
-    """Raised when a Casimir eigenvalue matches no candidate spin."""
+class DecompositionError(RuntimeError):
+    """Raised when floating arithmetic cannot confirm a decomposition."""
 
 
 def _maxabs(m) -> float:
@@ -51,25 +53,33 @@ def _qn(n: int, r: int, q: float) -> float:
 
 @dataclass(frozen=True)
 class Suq2Rep:
-    """Dense representation data; j is None for composite (tensor) spaces."""
+    """Real representation data on a weight basis: T3 and tau are the
+    diagonals, basis the magnetic label of each basis vector; j is None for
+    composite (tensor) spaces."""
 
     q: float
     T3: np.ndarray
     Tplus: np.ndarray
     Tminus: np.ndarray
     tau: np.ndarray
+    basis: tuple[HalfInt, ...]
     j: HalfInt | None = None
-    basis: tuple[HalfInt, ...] | None = None
 
     @property
     def dim(self) -> int:
-        return self.T3.shape[0]
+        return len(self.T3)
 
-    def tau_half(self) -> np.ndarray:
-        d = np.real(np.diag(self.tau))
-        if np.any(d <= 0):
-            raise ValueError("tau must be positive diagonal")
-        return np.diag(np.sqrt(d)).astype(complex)
+
+def _breakdown(rep: Suq2Rep, what: str) -> DecompositionError:
+    where = f"j = {rep.j}" if rep.j is not None else f"dimension {rep.dim}"
+    return DecompositionError(f"{what} at q = {rep.q}, {where}: floating precision "
+                              f"breaks down; use a smaller j or q")
+
+
+def _tau_half(rep: Suq2Rep) -> np.ndarray:
+    if np.any(rep.tau <= 0):
+        raise _breakdown(rep, "tau = 1 - (q - 1/q) T3 is not positive")
+    return np.sqrt(rep.tau)
 
 
 def build_rep(j, q: float) -> Suq2Rep:
@@ -84,13 +94,13 @@ def build_rep(j, q: float) -> Suq2Rep:
     dim = len(basis)
     index = {m.twice: k for k, m in enumerate(basis)}
 
-    T3 = np.zeros((dim, dim), dtype=complex)
-    Tp = np.zeros((dim, dim), dtype=complex)
-    Tm = np.zeros((dim, dim), dtype=complex)
+    T3 = np.zeros(dim)
+    Tp = np.zeros((dim, dim))
+    Tm = np.zeros((dim, dim))
     try:
         for m in basis:
             k = index[m.twice]
-            T3[k, k] = (1.0 / q) * _qn(m.twice, -2, q)
+            T3[k] = (1.0 / q) * _qn(m.twice, -2, q)
             jp_m = (j + m).as_int()
             jm_m = (j - m).as_int()
             if m.twice < j.twice:  # raising entry m -> m+1
@@ -104,9 +114,8 @@ def build_rep(j, q: float) -> Suq2Rep:
     except OverflowError:
         raise ValueError(f"the q-numbers of spin j = {j} overflow a double at q = {q}; "
                          f"use a smaller j") from None
-    lam = q - 1.0 / q
-    tau = np.eye(dim, dtype=complex) - lam * T3
-    return Suq2Rep(q=q, T3=T3, Tplus=Tp, Tminus=Tm, tau=tau, j=j, basis=basis)
+    tau = 1.0 - (q - 1.0 / q) * T3
+    return Suq2Rep(q=q, T3=T3, Tplus=Tp, Tminus=Tm, tau=tau, basis=basis, j=j)
 
 
 # ---------------------------------------------------------------------------
@@ -202,9 +211,10 @@ def conjugation_defects_exact(rep: Suq2RepExact) -> tuple[xm.ExactMatrix, ...]:
 
 
 def relation_defects(T3, Tp, Tm, q: float):
-    d1 = (1.0 / q) * (Tp @ Tm) - q * (Tm @ Tp) - T3
-    d2 = q ** 2 * (T3 @ Tp) - q ** -2 * (Tp @ T3) - (q + 1.0 / q) * Tp
-    d3 = q ** -2 * (T3 @ Tm) - q ** 2 * (Tm @ T3) + (q + 1.0 / q) * Tm
+    """Defect matrices of the three relations; T3 is the diagonal."""
+    d1 = (1.0 / q) * (Tp @ Tm) - q * (Tm @ Tp) - np.diag(T3)
+    d2 = q ** 2 * (T3[:, None] * Tp) - q ** -2 * (Tp * T3) - (q + 1.0 / q) * Tp
+    d3 = q ** -2 * (T3[:, None] * Tm) - q ** 2 * (Tm * T3) + (q + 1.0 / q) * Tm
     return d1, d2, d3
 
 
@@ -213,11 +223,9 @@ def algebra_residuals(rep: Suq2Rep) -> tuple[float, float, float]:
     return _maxabs(d1), _maxabs(d2), _maxabs(d3)
 
 
-def conjugation_residuals(rep: Suq2Rep) -> tuple[float, float]:
-    q = rep.q
-    r3 = _maxabs(rep.T3.conj().T - rep.T3)
-    rp = _maxabs(rep.Tplus.conj().T - q ** -2 * rep.Tminus)
-    return r3, rp
+def conjugation_residuals(rep: Suq2Rep) -> tuple[float]:
+    """The T+^dagger = q^(-2) T- residual; a real diagonal T3 is hermitean."""
+    return (_maxabs(rep.Tplus.T - rep.q ** -2 * rep.Tminus),)
 
 
 # ---------------------------------------------------------------------------
@@ -237,22 +245,18 @@ def casimir_matrix(rep: Suq2Rep) -> np.ndarray:
             "Casimir construction needs q > 1 (the deformation scale vanishes)"
         )
     lam = q - 1.0 / q
-    th = rep.tau_half()
-    th_inv = np.diag(1.0 / np.diag(th))
-    dim = rep.dim
-    eye = np.eye(dim, dtype=complex)
-    return (
-        q ** 2 * (rep.Tminus @ rep.Tplus + eye / lam ** 2) @ th_inv
-        + (1.0 / lam ** 2) * th
-        - ((1.0 + q ** 2) / lam ** 2) * eye
-    )
+    th = _tau_half(rep)
+    C = q ** 2 * (rep.Tminus @ rep.Tplus + np.eye(rep.dim) / lam ** 2) * (1.0 / th)
+    C[np.diag_indices(rep.dim)] += (1.0 / lam ** 2) * th
+    C[np.diag_indices(rep.dim)] -= (1.0 + q ** 2) / lam ** 2
+    return C
 
 
 def casimir_commutation_residuals(rep: Suq2Rep) -> tuple[float, float, float]:
     C = casimir_matrix(rep)
-    return tuple(
-        _maxabs(C @ T - T @ C) for T in (rep.Tplus, rep.Tminus, rep.T3)
-    )
+    return (_maxabs(C @ rep.Tplus - rep.Tplus @ C),
+            _maxabs(C @ rep.Tminus - rep.Tminus @ C),
+            _maxabs(C * rep.T3 - rep.T3[:, None] * C))
 
 
 # ---------------------------------------------------------------------------
@@ -261,16 +265,19 @@ def casimir_commutation_residuals(rep: Suq2Rep) -> tuple[float, float, float]:
 
 def coproduct(a: Suq2Rep, b: Suq2Rep) -> Suq2Rep:
     """Tensor representation: T3 -> T3 x 1 + tau x T3, and the ladder
-    operators pick up tau^(1/2) on the left slot; tau multiplies."""
+    operators pick up tau^(1/2) on the left slot; tau multiplies.  The
+    weights add, m1 + m2 in kron order, and T3 depends on their sum alone:
+    T3(m1) + q^(-4 m1) T3(m2) = T3(m1 + m2)."""
     if a.q != b.q:
         raise ValueError("tensor factors must share the deformation parameter")
-    ib = np.eye(b.dim, dtype=complex)
-    tha = a.tau_half()
-    T3 = np.kron(a.T3, ib) + np.kron(a.tau, b.T3)
+    ib = np.eye(b.dim)
+    tha = np.diag(_tau_half(a))
+    T3 = (a.T3[:, None] + a.tau[:, None] * b.T3).ravel()
     Tp = np.kron(a.Tplus, ib) + np.kron(tha, b.Tplus)
     Tm = np.kron(a.Tminus, ib) + np.kron(tha, b.Tminus)
     tau = np.kron(a.tau, b.tau)
-    return Suq2Rep(q=a.q, T3=T3, Tplus=Tp, Tminus=Tm, tau=tau, j=None, basis=None)
+    basis = tuple(ma + mb for ma in a.basis for mb in b.basis)
+    return Suq2Rep(q=a.q, T3=T3, Tplus=Tp, Tminus=Tm, tau=tau, basis=basis)
 
 
 # ---------------------------------------------------------------------------
@@ -284,7 +291,8 @@ class DecompositionReport:
     entries: tuple[tuple[HalfInt, int, float], ...]  # (j, multiplicity, eigenvalue)
 
     def consistent(self) -> bool:
-        return sum(mult * (j.twice + 1) for j, mult, _ in self.entries) == self.dim
+        return (all(mult > 0 for _, mult, _ in self.entries)
+                and sum(mult * (j.twice + 1) for j, mult, _ in self.entries) == self.dim)
 
     def as_dict(self) -> list[dict]:
         return [
@@ -293,47 +301,38 @@ class DecompositionReport:
         ]
 
 
-def casimir_decompose(rep: Suq2Rep, cluster_rtol: float = 1e-8) -> DecompositionReport:
-    """Group Casimir eigenvalues into clusters and identify each with a spin."""
-    C = casimir_matrix(rep)
-    hermiticity = _maxabs(C - C.conj().T)
-    if hermiticity > 1e-9 * max(1.0, _maxabs(C)):
-        raise DecompositionError("Casimir is unexpectedly non-hermitean")
-    vals = np.linalg.eigvalsh((C + C.conj().T) / 2.0)
-    clusters: list[list[float]] = []
-    for v in sorted(vals):
-        if clusters and abs(v - clusters[-1][-1]) <= cluster_rtol * max(1.0, abs(v)):
-            clusters[-1].append(v)
-        else:
-            clusters.append([v])
+def casimir_decompose(rep: Suq2Rep) -> DecompositionReport:
+    """Read the spins off the weights and confirm them on the Casimir.
 
-    dim = rep.dim
-    candidates = [HalfInt(t) for t in range(0, 2 * dim + 1)]
+    For q > 1 finite-dimensional modules are completely reducible, and spin J
+    occurs #(m = J) - #(m = J+1) times.  The Casimir eigenvalue c_J increases
+    with J, so the ascending spectrum splits into consecutive blocks of
+    multiplicity * (2J+1) values in ascending J, each of which must lie at
+    c_J; an entry reports its block's mean.
+    """
+    q = rep.q
+    C = casimir_matrix(rep)
+    if _maxabs(C - C.T) > 1e-9 * max(1.0, _maxabs(C)):
+        raise _breakdown(rep, "the Casimir is not symmetric")
+    vals = np.linalg.eigvalsh(C)
+    counts = Counter(m.twice for m in rep.basis)
+    # c_J stands in for each block's mean until the spectrum confirms it
+    weights = DecompositionReport(rep.dim, q, tuple(
+        (HalfInt(t), counts[t] - counts[t + 2], casimir_eigenvalue(HalfInt(t), q))
+        for t in range(max(counts) + 1) if counts[t] != counts[t + 2]
+    ))
+    if not weights.consistent():
+        raise DecompositionError("the weights are not those of a sum of irreducibles")
     entries = []
-    for cluster in clusters:
-        mean = float(np.mean(cluster))
-        best = None
-        for j in candidates:
-            cj = casimir_eigenvalue(j, rep.q)
-            err = abs(mean - cj) / max(1.0, abs(cj))
-            if best is None or err < best[1]:
-                best = (j, err)
-        j, err = best
-        if err > 1e-6:
-            raise DecompositionError(
-                f"Casimir cluster at {mean:.6g} matches no candidate spin "
-                f"(best j={j} with relative error {err:.3g})"
-            )
-        block = len(cluster)
-        if block % (j.twice + 1) != 0:
-            raise DecompositionError(
-                f"cluster of size {block} is not a multiple of dim 2j+1 for j={j}"
-            )
-        entries.append((j, block // (j.twice + 1), mean))
-    report = DecompositionReport(dim=dim, q=rep.q, entries=tuple(entries))
-    if not report.consistent():
-        raise DecompositionError("multiplicities do not sum to the dimension")
-    return report
+    start = 0
+    for j, mult, cj in weights.entries:
+        block = vals[start:start + mult * (j.twice + 1)]
+        start += len(block)
+        if np.max(np.abs(block - cj)) > 1e-6 * max(1.0, abs(cj)):
+            raise _breakdown(rep, f"the Casimir spectrum misses c_J = {cj:.6g} of "
+                                  f"spin J = {j}")
+        entries.append((j, mult, float(np.mean(block))))
+    return DecompositionReport(rep.dim, q, tuple(entries))
 
 
 # ---------------------------------------------------------------------------
@@ -368,24 +367,23 @@ def from_su2_embedding(j, q: float) -> tuple[Suq2Rep, EmbeddingReport]:
     lam = q - 1.0 / q
 
     m_vals = np.array([float(m) for m in basis])
-    j0 = np.diag(m_vals).astype(complex)
-    jp = np.zeros((dim, dim), dtype=complex)
+    j0 = np.diag(m_vals)
+    jp = np.zeros((dim, dim))
     jf = float(j)
     for k, m in enumerate(m_vals):
         if k > 0:  # raising m -> m+1 lands one row up in descending order
             jp[k - 1, k] = sqrt((jf - m) * (jf + m + 1.0) / 2.0)
-    jm = jp.conj().T
+    jm = jp.T
 
     # entrywise fit of the diagonal factor on levels reached by j+
     f = np.ones(dim)
     for k in range(1, dim):
-        ref_entry = reference.Tplus[k - 1, k]
-        f[k - 1] = (ref_entry / jp[k - 1, k]).real
-    Tp = np.diag(f).astype(complex) @ jp
-    T3 = np.diag((1.0 - q ** (-4.0 * m_vals)) / lam).astype(complex)
-    Tm = q ** 2 * Tp.conj().T
-    tau = np.eye(dim, dtype=complex) - lam * T3
-    rep = Suq2Rep(q=q, T3=T3, Tplus=Tp, Tminus=Tm, tau=tau, j=j, basis=basis)
+        f[k - 1] = reference.Tplus[k - 1, k] / jp[k - 1, k]
+    Tp = f[:, None] * jp
+    T3 = (1.0 - q ** (-4.0 * m_vals)) / lam
+    Tm = q ** 2 * Tp.T
+    tau = 1.0 - lam * T3
+    rep = Suq2Rep(q=q, T3=T3, Tplus=Tp, Tminus=Tm, tau=tau, basis=basis, j=j)
 
     comm = jp @ jm - jm @ jp - j0
     cas = 2.0 * (jm @ jp) + j0 @ (j0 + np.eye(dim)) - jf * (jf + 1.0) * np.eye(dim)
@@ -412,7 +410,7 @@ def rep_report(j, q: float) -> dict:
     j = HalfInt.coerce(j)
     rep = build_rep(j, q)
     r1, r2, r3 = algebra_residuals(rep)
-    c3, cp = conjugation_residuals(rep)
+    (conj,) = conjugation_residuals(rep)
     cj = casimir_eigenvalue(j, q)
     if q > 1.0:
         C = casimir_matrix(rep)
@@ -429,7 +427,7 @@ def rep_report(j, q: float) -> dict:
             "rel1": r1,
             "rel2": r2,
             "rel3": r3,
-            "conj": max(c3, cp),
+            "conj": conj,
         },
         "casimir": {"eigenvalue": cj, "defect": defect},
         "decomposition": decomposition,

@@ -219,6 +219,15 @@ def test_maxima_spacing_insufficient_range():
         estimate_maxima_spacing(ClassicalParams(1.0, 0.1), 50.0, 60.0)
 
 
+@pytest.mark.parametrize("window, name", [
+    ((float("nan"), 200.0), "t_start"), ((-float("inf"), 200.0), "t_start"),
+    ((50.0, float("inf")), "t_end"), ((50.0, float("nan")), "t_end"),
+])
+def test_maxima_spacing_refuses_non_finite_window(window, name):
+    with pytest.raises(ValueError, match=f"^{name} must be finite"):
+        estimate_maxima_spacing(ClassicalParams(1.0, 0.1), *window)
+
+
 @settings(max_examples=30, deadline=None)
 @given(
     energy=st.floats(0.1, 5.0),

@@ -104,6 +104,28 @@ def test_rep_overflow_asks_for_a_smaller_j(capsys):
     assert "j = 200" in err and "use a smaller j" in err
 
 
+@pytest.mark.parametrize("j, q", [("12", "1.5"), ("5", "3")])
+def test_rep_decomposes_where_casimir_clusters_split(capsys, j, q):
+    # the eigenvalues spread by a few 1e-8 relative: the spin comes from the
+    # weights and the Casimir confirms it within 1e-6
+    code, out, _ = run(capsys, "rep", "--j", j, "--q", q, "--json")
+    assert code == 0
+    decomposition = json.loads(out)["decomposition"]
+    assert [(b["j"], b["multiplicity"]) for b in decomposition] == [(float(j), 1)]
+
+
+@pytest.mark.parametrize("argv, where", [
+    (["rep", "--j", "11.5", "--q", "3"], "q = 3.0, j = 23/2"),    # tau not positive
+    (["rep", "--j", "3", "--q", "10"], "q = 10.0, j = 3"),        # off the closed form
+    (["tensor", "--j", "5", "--q", "3"], "q = 3.0, dimension 121"),  # C not symmetric
+])
+def test_suq2_precision_breakdown_exits_one(capsys, argv, where):
+    code, out, err = run(capsys, *argv)
+    assert code == 1 and out == ""
+    assert where in err and "use a smaller j or q" in err
+    assert "Traceback" not in err
+
+
 def test_tensor_decomposition(capsys):
     code, out, _ = run(capsys, "tensor", "--j", "0.5", "--q", "1.2", "--json")
     assert code == 0
@@ -358,6 +380,14 @@ def test_classical_invalid_params(capsys):
     code, _, err = run(capsys, "classical", "verify", "--E", "-1", "--h", "0.1")
     assert code == 2
     assert "positive" in err
+
+
+@pytest.mark.parametrize("flag, value", [("--t-start", "nan"), ("--t-end", "inf")])
+def test_classical_period_refuses_non_finite_window(capsys, flag, value):
+    code, out, err = run(capsys, "classical", "period", "--E", "1", "--h", "0.1",
+                         flag, value)
+    assert code == 2 and out == ""
+    assert f"{flag[2:].replace('-', '_')} must be finite" in err
 
 
 @pytest.mark.parametrize("t_max", ["nan", "inf", "0", "-1"])

@@ -94,14 +94,25 @@ def test_algebra_conjugation_casimir_residuals(j, q):
 def test_rep_structure():
     rep = build_rep(Fraction(3, 2), 1.3)
     assert rep.dim == 4
-    assert np.allclose(rep.T3, np.diag(np.diag(rep.T3)))
     assert np.count_nonzero(np.tril(rep.Tplus)) == 0  # strictly upper
     assert np.count_nonzero(np.triu(rep.Tminus)) == 0  # strictly lower
-    assert np.all(np.real(np.diag(rep.tau)) > 0)
+    assert np.all(rep.tau > 0)
     # tau = 1 - lam*T3 = q^(-4m) on the descending basis
     q = rep.q
     expected = [q ** (-4 * float(m)) for m in rep.basis]
-    assert np.allclose(np.diag(rep.tau), expected, atol=1e-14)
+    assert np.allclose(rep.tau, expected, atol=1e-14)
+
+
+@pytest.mark.parametrize("rep", [build_rep(Fraction(3, 2), 1.3),
+                                 coproduct(build_rep(1, 1.3), build_rep(Fraction(1, 2), 1.3)),
+                                 from_su2_embedding(1, 1.3)[0]])
+def test_weights_are_real_diagonals(rep):
+    # T3 and tau are stored as their diagonals, the ladders as real matrices
+    for diagonal in (rep.T3, rep.tau):
+        assert diagonal.dtype == np.float64 and diagonal.shape == (rep.dim,)
+    for ladder in (rep.Tplus, rep.Tminus):
+        assert ladder.dtype == np.float64 and ladder.shape == (rep.dim, rep.dim)
+    assert len(rep.basis) == rep.dim
 
 
 @pytest.mark.parametrize("q", [0.9, float("inf"), float("nan")])
@@ -117,7 +128,7 @@ def test_build_rep_overflow_asks_for_a_smaller_j():
 
 def test_q_one_reduces_to_su2_normalization():
     rep = build_rep(Fraction(1, 2), 1.0)
-    assert np.allclose(rep.T3, np.diag([1.0, -1.0]))
+    assert np.allclose(rep.T3, [1.0, -1.0])
     assert max(algebra_residuals(rep)) <= 1e-14
     with pytest.raises(SingularLimitError):
         casimir_matrix(rep)
@@ -142,14 +153,28 @@ def test_coproduct_diagonal_entry_example():
     q = 1.2
     a = build_rep(Fraction(1, 2), q)
     t = coproduct(a, a)
-    assert t.T3[3, 3] == pytest.approx(-q - q ** 3, rel=1e-14)
+    assert t.T3[3] == pytest.approx(-q - q ** 3, rel=1e-14)
+
+
+@pytest.mark.parametrize("j1, j2", [(Fraction(1, 2), Fraction(1, 2)), (1, Fraction(3, 2)),
+                                    (2, 2)])
+def test_coproduct_basis_adds_weights(j1, j2):
+    # the labels are m1 + m2 in kron order, and T3 depends on their sum only
+    q = 1.3
+    a, b = build_rep(j1, q), build_rep(j2, q)
+    t = coproduct(a, b)
+    assert t.basis == tuple(m1 + m2 for m1 in a.basis for m2 in b.basis)
+    top = build_rep(HalfInt.coerce(j1) + HalfInt.coerce(j2), q)
+    at_label = dict(zip(top.basis, top.T3))
+    for m, value in zip(t.basis, t.T3):
+        assert value == pytest.approx(at_label[m], rel=1e-13, abs=1e-13)
 
 
 def test_coproduct_images_satisfy_relations():
     a = build_rep(Fraction(1, 2), 1.2)
     t = coproduct(a, a)
     assert max(algebra_residuals(t)) <= 1e-12
-    assert np.max(np.abs(t.tau - (np.eye(4) - (1.2 - 1 / 1.2) * t.T3))) <= 1e-12
+    assert np.max(np.abs(t.tau - (1.0 - (1.2 - 1 / 1.2) * t.T3))) <= 1e-12
 
 
 def test_coproduct_with_trivial_factor_is_identity():
@@ -201,6 +226,28 @@ def test_irrep_decomposes_to_itself():
     rep = build_rep(Fraction(3, 2), 1.5)
     dec = casimir_decompose(rep)
     assert [(float(j), m) for j, m, _ in dec.entries] == [(1.5, 1)]
+
+
+def test_five_tensor_five_gives_each_spin_once():
+    a = build_rep(5, 1.5)
+    dec = casimir_decompose(coproduct(a, a))
+    assert [(float(j), mult) for j, mult, _ in dec.entries] == [(k, 1) for k in range(11)]
+    for j, _, ev in dec.entries:
+        cj = casimir_eigenvalue(j, 1.5)
+        assert abs(ev - cj) <= 1e-6 * max(1.0, abs(cj))
+
+
+def test_negative_multiplicity_from_weights_is_refused():
+    # the weight counts of (1, 1, 0, -1, -1) account for all 5 dimensions
+    # (2 x spin 1, -1 x spin 0), but spin 0 gets #(m=0) - #(m=1) = -1
+    q = 1.5
+    lam = q - 1 / q
+    basis = tuple(HalfInt(t) for t in (2, 2, 0, -2, -2))
+    T3 = np.array([(1 - q ** (-4 * float(m))) / lam for m in basis])
+    zero = np.zeros((5, 5))
+    rep = Suq2Rep(q=q, T3=T3, Tplus=zero, Tminus=zero, tau=1 - lam * T3, basis=basis)
+    with pytest.raises(DecompositionError, match="not those of a sum of irreducibles"):
+        casimir_decompose(rep)
 
 
 def test_triple_spinor_decomposition():
