@@ -2,7 +2,7 @@
 """Run alternating parent/change pairs of bench/run.py and summarise them.
 
     python3 scripts/bench_pairs.py --parent REV [--first-seed 1] \\
-        [--probe scripts/probe_exact_kernel.py] [--out BENCH_topic.json]
+        [--out BENCH_topic.json]
 
 The parent is unpacked from `git archive REV` and the change is the working
 tree's files that `git add -A` would commit, each into a temporary
@@ -30,14 +30,15 @@ change of the medians, and a verdict:
 
 Every run's values are kept under "runs".  Each workload then runs 2 more
 pairs with --trace 1, alternating which side runs first as above, and their
-per-layer metrics are kept under "layers": each side's median and the
-relative change of the medians, for every layer that either side used (a
-layer a workload never calls reads 0 on both).  They show in which layer a
-change of the end-to-end metrics arises; with one traced run per order the
-run-order bias cancels in the medians.  With --probe, the given script is
-run from this checkout against each tree's sources (PYTHONPATH), in 3
-alternating pairs; it must print one JSON object of timings, reported as
-each side's per-key minimum and median.
+per-layer metrics are kept under "layers": each side's median, the
+relative change of the medians, and the spread (the larger of the two
+sides' ranges over their traced runs), for every layer that either side
+used (a layer a workload never calls reads 0 on both).  They show in which
+layer a change of the end-to-end metrics arises; with one traced run per
+order the run-order bias cancels in the medians.  A layer whose spread
+exceeds the change of its medians reads "unresolved", otherwise
+"resolved": two traced runs per side cannot tell such a layer's change
+from run-to-run noise.
 """
 
 from __future__ import annotations
@@ -57,7 +58,6 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
 PAIRS = 10
-PROBE_PAIRS = 3
 TRACE_PAIRS = 2
 GAIN_WIN_SHARE = 0.9
 
@@ -94,13 +94,6 @@ def bench_once(tree: Path, workload: str, seed: int, seconds: float,
         return {"error": proc.stderr.strip()[-500:]}
     result = json.loads(proc.stdout.strip().splitlines()[-1])
     return {name: m["value"] for name, m in result["metrics"].items()}
-
-
-def probe_once(tree: Path, probe: Path) -> dict:
-    env = dict(os.environ, PYTHONPATH=str(tree / "src"), PYTHONHASHSEED="0")
-    proc = subprocess.run([sys.executable, str(probe)], env=env, cwd=tree,
-                          capture_output=True, text=True, check=True)
-    return json.loads(proc.stdout.strip().splitlines()[-1])
 
 
 def quartiles(values: list[float]) -> dict:
@@ -159,18 +152,22 @@ def summarise(metric: dict, parent: list, change: list, more_failures: bool) -> 
 
 
 def layer_summary(parent: list[dict], change: list[dict]) -> dict:
-    """Per-layer medians of each side's traced runs and their relative
-    change, for the layers either side used."""
+    """Per-layer medians of each side's traced runs, their relative change,
+    the spread of the runs and whether it resolves the change, for the
+    layers either side used."""
     out = {}
     for name in parent[0]:
         if not all(name in run for run in parent + change):
             continue
-        before = statistics.median(run[name] for run in parent)
-        after = statistics.median(run[name] for run in change)
+        sides = [[run[name] for run in runs] for runs in (parent, change)]
+        before, after = (statistics.median(values) for values in sides)
         if before == after == 0:
             continue
+        spread = max(max(values) - min(values) for values in sides)
         out[name] = {"parent": before, "change": after,
-                     "relative_change": (after - before) / before if before else None}
+                     "relative_change": (after - before) / before if before else None,
+                     "spread": spread,
+                     "verdict": "unresolved" if spread > abs(after - before) else "resolved"}
     return out
 
 
@@ -180,7 +177,6 @@ def main() -> int:
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     ap.add_argument("--parent", required=True, help="parent revision")
     ap.add_argument("--first-seed", type=int, default=1)
-    ap.add_argument("--probe", type=Path)
     ap.add_argument("--out", type=Path)
     args = ap.parse_args()
 
@@ -233,19 +229,6 @@ def main() -> int:
             report["workloads"][workload]["layers"] = (
                 traced if any("error" in r for side in traced.values() for r in side)
                 else layer_summary(traced["parent"], traced["change"]))
-
-        if args.probe:
-            samples = {"parent": [], "change": []}
-            for i in range(PROBE_PAIRS):
-                for side in ordered(i):
-                    samples[side].append(probe_once(trees[side], args.probe.resolve()))
-            report["probe"] = {
-                "script": str(args.probe),
-                **{side: {key: {"min": min(s[key] for s in got),
-                                "median": statistics.median(s[key] for s in got)}
-                            for key in got[0]}
-                   for side, got in samples.items()},
-            }
 
     text = json.dumps(report, indent=1)
     if args.out:

@@ -3,6 +3,8 @@
 import importlib.util
 from pathlib import Path
 
+import pytest
+
 _SCRIPT = Path(__file__).resolve().parent.parent / "scripts" / "bench_pairs.py"
 _spec = importlib.util.spec_from_file_location("bench_pairs", _SCRIPT)
 bench_pairs = importlib.util.module_from_spec(_spec)
@@ -75,8 +77,35 @@ def test_layer_summary_takes_each_sides_median_over_the_layers_either_used():
     layers = bench_pairs.layer_summary(parent, change)
     assert set(layers) == {"qphase.relation_residuals.busy_s",
                            "classical.compare_closed_form.busy_s", "suq2.dim_total"}
-    assert layers["classical.compare_closed_form.busy_s"] == {
+    classical = layers["classical.compare_closed_form.busy_s"]
+    assert {k: classical[k] for k in ("parent", "change", "relative_change")} == {
         "parent": 1.2, "change": 0.6, "relative_change": -0.5}
+    # the larger side's range, 1.4 - 1.0, is below the 0.6 change
+    assert classical["spread"] == pytest.approx(0.4)
+    assert classical["verdict"] == "resolved"
     assert layers["qphase.relation_residuals.busy_s"]["relative_change"] == (0.003 - 0.13) / 0.13
     # a layer only the change calls has no relative change
     assert layers["suq2.dim_total"]["relative_change"] is None
+
+
+def test_layer_whose_spread_exceeds_its_change_is_unresolved():
+    # the same code read 0.627 and 0.511 s in two traced runs: a -19 % move
+    # of the medians that the runs' own spread covers
+    parent = [{"classical.compare_closed_form.busy_s": 0.55, "suq2.dim_total": 410.0},
+              {"classical.compare_closed_form.busy_s": 0.70, "suq2.dim_total": 410.0}]
+    change = [{"classical.compare_closed_form.busy_s": 0.45, "suq2.dim_total": 410.0},
+              {"classical.compare_closed_form.busy_s": 0.57, "suq2.dim_total": 410.0}]
+    layers = bench_pairs.layer_summary(parent, change)
+    layer = layers["classical.compare_closed_form.busy_s"]
+    assert layer["spread"] == pytest.approx(0.15)
+    assert abs(layer["change"] - layer["parent"]) < layer["spread"]
+    assert layer["verdict"] == "unresolved"
+    # a count both sides read alike has neither spread nor change
+    assert layers["suq2.dim_total"]["spread"] == 0.0
+    assert layers["suq2.dim_total"]["verdict"] == "resolved"
+
+
+def test_probe_option_is_gone():
+    assert not hasattr(bench_pairs, "probe_once")
+    assert "--probe" not in _SCRIPT.read_text()
+    assert not (_SCRIPT.parent / "probe_exact_kernel.py").exists()

@@ -3,6 +3,7 @@
 import os
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import numpy as np
@@ -28,6 +29,7 @@ from qdeform.classical import (
     w_factor,
     w_factor_derivative,
 )
+from qdeform.classical import _DP_A, _DP_E, _DP_P, _dopri5
 
 # frozen closed-form oracles at E = 1, h = 0.1 (hand-checked: amplitude
 # sqrt(2)*(2/sinh 0.1), oscillation sinh(0.05)^2 + sin(0.2 t)^2, 1 + 16 t^2)
@@ -94,12 +96,12 @@ def test_closed_form_consistent_with_hamiltonian():
 
 
 def test_rhs_consistent_with_conserved_product():
-    # d(xp)/dt = 2H: check the vector field reproduces it at a generic point
+    # dw/dt = 2H in the chart w = xp: check the field reproduces it at a
+    # generic point
     h = 0.15
-    x, p = 1.7, 0.9
-    dx, dp = hamilton_rhs(0.0, [x, p], h)
-    lhs = dx * p + x * dp
-    assert lhs == pytest.approx(2.0 * float(hamiltonian(x, p, h)), rel=1e-12)
+    w, p = 1.7 * 0.9, 0.9
+    dw, _ = hamilton_rhs(h)(w, p)
+    assert dw == pytest.approx(2.0 * float(hamiltonian(w / p, p, h)), rel=1e-12)
 
 
 def test_initial_slope_identity():
@@ -140,8 +142,8 @@ def test_integration_matches_closed_form_strong_deformation():
 
 
 def array_rhs(t, y, h):
-    """The vector field through the array forms of W and dW/du: the oracle
-    for the scalar `hamilton_rhs`."""
+    """The (x, p) vector field through the array forms of W and dW/du: the
+    oracle for the (w, p) field `hamilton_rhs`."""
     x, p = y
     u = 2.0 * x * p
     w = w_factor(u, h)
@@ -149,27 +151,96 @@ def array_rhs(t, y, h):
     return [2.0 * p * w + 2.0 * x * p * p * wp, -2.0 * p ** 3 * wp]
 
 
+EPS = np.finfo(float).eps
+
+
 @pytest.mark.parametrize("h", [0.05, 0.1, 0.3])
-def test_scalar_rhs_is_bit_identical_to_array_formula(h):
+def test_chart_rhs_matches_array_rhs_by_chain_rule(h):
+    """dw/dt = (dx/dt) p + x (dp/dt) and dp/dt agree with the (x, p) field,
+    each within 16 eps times the sum of its summands' magnitudes."""
     rng = np.random.default_rng(11)
     p = rng.uniform(-3.0, 3.0, 5000)
     x = rng.uniform(-1e3, 1e3, 5000) / p   # |x p| up to 1e3
-    for xi, pi in zip(x, p):
-        y = np.array([xi, pi])   # as the solver passes the state
-        assert hamilton_rhs(0.0, y, h) == [float(v) for v in array_rhs(0.0, y, h)]
+    dx, dp = (np.array(v) for v in array_rhs(0.0, (x, p), h))
+    # dp/dt = -2 p^3 (2/lambda^2) (2h sin(uh) (1 + u^2) - 2u g) / (1 + u^2)^2
+    q = np.exp(h)
+    u = 2.0 * x * p
+    g = q + 1.0 / q - 2.0 * np.cos(u * h)
+    scale = 4.0 * np.abs(p) ** 3 / (q - 1.0 / q) ** 2 / (1.0 + u * u) ** 2
+    dp_terms = scale * (np.abs(2.0 * h * np.sin(u * h)) * (1.0 + u * u)
+                        + np.abs(2.0 * u * g))
+    field = hamilton_rhs(h)
+    for xi, pi, dxi, dpi, dp_budget in zip(x, p, dx, dp, dp_terms):
+        dw, dp_chart = field(float(xi * pi), float(pi))
+        assert abs(dw - (dxi * pi + xi * dpi)) <= 16 * EPS * (
+            abs(dxi * pi) + abs(xi * dpi))
+        assert abs(dp_chart - dpi) <= 16 * EPS * dp_budget
 
 
-def test_integration_is_bit_identical_to_array_rhs():
+@pytest.mark.parametrize("h, tol, bound", [(0.1, 1e-11, 1e-9), (0.5, 1e-10, 1e-8)])
+def test_integration_matches_scipy_dop853_on_array_rhs(h, tol, bound):
+    """The (w, p) Dormand-Prince 5(4) trajectory against scipy's DOP853 on
+    the (x, p) oracle field, at matched tolerances."""
     from scipy.integrate import solve_ivp
 
-    params, tol = ClassicalParams(1.0, 0.1), 1e-9
-    traj = integrate_trajectory(params, 5.0, tol=tol)
-    sol = solve_ivp(array_rhs, (0.0, 5.0), [0.0, initial_momentum(1.0, 0.1)],
-                    args=(0.1,), method="DOP853", rtol=tol, atol=tol * 1e-3,
+    traj = integrate_trajectory(ClassicalParams(1.0, h), 5.0, tol=tol)
+    sol = solve_ivp(array_rhs, (0.0, 5.0), [0.0, initial_momentum(1.0, h)],
+                    args=(h,), method="DOP853", rtol=tol, atol=tol * 1e-3,
                     t_eval=np.linspace(0.0, 5.0, 501))
-    assert traj.x.tobytes() == sol.y[0].tobytes()
-    assert traj.p.tobytes() == sol.y[1].tobytes()
-    assert traj.nfev == sol.nfev
+    assert sol.success
+    x_ref = sol.y[0]
+    assert np.max(np.abs(traj.x - x_ref)) / np.max(np.abs(x_ref)) <= bound
+
+
+def test_dormand_prince_tableau_order_conditions():
+    a, e, dense = _DP_A, _DP_E, _DP_P
+    # the nodes c_i = sum_j a_ij, and b is the last row of a (FSAL)
+    c = [sum(row) for row in a]
+    assert c == pytest.approx([0.0, 1 / 5, 3 / 10, 4 / 5, 8 / 9, 1.0, 1.0], abs=1e-15)
+    b = a[6] + (0.0,)
+    assert sum(b) == pytest.approx(1.0, abs=1e-15)
+    assert sum(e) == pytest.approx(0.0, abs=1e-15)
+    assert sum(bi * ci for bi, ci in zip(b, c)) == pytest.approx(0.5, abs=1e-15)
+    assert sum(bi * ci ** 2 for bi, ci in zip(b, c)) == pytest.approx(1 / 3, abs=1e-15)
+    # the continuous extension at theta = 1 is the step itself
+    for row, bi in zip(dense, b):
+        assert sum(row) == pytest.approx(bi, abs=1e-14)
+
+
+@pytest.mark.parametrize("tol", [1e-11, 1e-9])
+def test_integration_keeps_the_first_integral(tol):
+    """w = xp = 2Et along the flow, which the solver is not told."""
+    energy, t_max = 1.0, 200.0
+    traj = integrate_trajectory(ClassicalParams(energy, 0.1), t_max, tol=tol)
+    defect = np.max(np.abs(traj.x * traj.p - 2.0 * energy * traj.t))
+    assert defect / (2.0 * energy * t_max) <= 10 * tol
+
+
+@pytest.mark.parametrize("field, why", [
+    (lambda w, p: (1.0, p * p), "step size .* underflows"),   # p = 1/(1 - t)
+    (lambda w, p: (1.0, float("nan")), "non-finite state"),
+])
+def test_integrator_fails_on_blow_up_or_non_finite_state(field, why):
+    with pytest.raises(RuntimeError, match=f"^integration failed: {why} at t = "):
+        _dopri5(field, 0.0, 1.0, 2.0, [0.0, 1.0, 2.0], 1e-9, 1e-12)
+
+
+def test_tolerance_below_rounding_is_floored_as_in_scipy():
+    """rtol is raised to 100*eps, so a smaller tol costs few more steps
+    (unfloored, tol = 1e-18 takes ~25k evaluations and 1e-30 ~1e9)."""
+    params = ClassicalParams(1.0, 0.1)
+    at_floor = integrate_trajectory(params, 5.0, tol=1e-14).nfev
+    assert integrate_trajectory(params, 5.0, tol=1e-18).nfev < 2 * at_floor
+    start = time.perf_counter()
+    traj = integrate_trajectory(params, 5.0, tol=1e-30)
+    assert time.perf_counter() - start < 5.0
+    assert np.all(np.isfinite(traj.x))
+    assert traj.nfev < 2 * at_floor
+
+
+def test_long_horizon_meets_the_pinned_bound_at_default_tolerance():
+    cmp = compare_closed_form(ClassicalParams(1.0, 0.1), 200.0, tol=1e-9)
+    assert cmp.max_rel_dev <= 1e-6
 
 
 def test_trajectory_records_solver_evaluations():
@@ -254,14 +325,23 @@ def test_classical_report_schema():
 
 
 def test_package_import_defers_scipy_integrate():
-    # scipy.integrate costs most of `import qdeform`; only integration needs it
+    # the integrator is the package's own; scipy is imported for scipy.linalg
     import qdeform
 
     src = str(Path(qdeform.__file__).resolve().parents[1])
-    code = "import sys, qdeform; print('scipy.integrate' in sys.modules)"
-    out = subprocess.run(
-        [sys.executable, "-c", code],
-        env={**os.environ, "PYTHONPATH": src},
-        capture_output=True, text=True, check=True,
-    )
-    assert out.stdout.strip() == "False"
+    probes = [
+        "import qdeform",
+        "from qdeform.classical import ClassicalParams, integrate_trajectory\n"
+        "integrate_trajectory(ClassicalParams(1.0, 0.1), 5.0)",
+        "from qdeform.cli import main\n"
+        "assert main(['classical', 'verify', '--E', '1', '--h', '0.1',"
+        " '--t-max', '5', '--json']) == 0",
+    ]
+    for code in probes:
+        out = subprocess.run(
+            [sys.executable, "-c",
+             code + "\nimport sys; print('scipy.integrate' in sys.modules)"],
+            env={**os.environ, "PYTHONPATH": src},
+            capture_output=True, text=True, check=True,
+        )
+        assert out.stdout.strip().splitlines()[-1] == "False", code
