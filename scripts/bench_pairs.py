@@ -28,12 +28,20 @@ change of the medians, and a verdict:
   more than the bound, taken relative to the parent's median;
 - "regression": otherwise.
 
-Every run's values are kept under "runs".  Each workload then runs 2 more
-pairs with --trace 1, alternating which side runs first as above, and their
-per-layer metrics are kept under "layers": each side's median, the
-relative change of the medians, and the spread (the larger of the two
-sides' ranges over their traced runs), for every layer that either side
-used (a layer a workload never calls reads 0 on both).  They show in which
+Every run's values are kept under "runs", with the per-op medians of its
+detail line (the line before the result) under "ops_s".  Those give a
+summary per op under "ops": each side's median and quartiles over its runs
+that did not error, the relative change of the medians, and a verdict,
+"unresolved" when either side's interquartile range exceeds the change of
+the medians and "resolved" otherwise.  They show which ops an end-to-end
+change comes from, with the spread of ten runs per side.
+
+Each workload then runs 2 more pairs with --trace 1, alternating which
+side runs first as above, and their per-layer metrics are kept under
+"layers": each side's median, the relative change of the medians, and
+the spread (the larger of the two sides' ranges over their traced runs),
+for every layer that either side used (a layer a workload never calls
+reads 0 on both).  They show in which
 layer a change of the end-to-end metrics arises; with one traced run per
 order the run-order bias cancels in the medians.  A layer whose spread
 exceeds the change of its medians reads "unresolved", otherwise
@@ -92,8 +100,11 @@ def bench_once(tree: Path, workload: str, seed: int, seconds: float,
     proc = subprocess.run(cmd, cwd=tree, capture_output=True, text=True)
     if proc.returncode != 0:
         return {"error": proc.stderr.strip()[-500:]}
-    result = json.loads(proc.stdout.strip().splitlines()[-1])
-    return {name: m["value"] for name, m in result["metrics"].items()}
+    detail, result = map(json.loads, proc.stdout.strip().splitlines()[-2:])
+    values = {name: m["value"] for name, m in result["metrics"].items()}
+    if not trace:
+        values["ops_s"] = detail["detail"]["ops_s"]
+    return values
 
 
 def quartiles(values: list[float]) -> dict:
@@ -171,6 +182,24 @@ def layer_summary(parent: list[dict], change: list[dict]) -> dict:
     return out
 
 
+def ops_summary(parent: list[dict], change: list[dict]) -> dict:
+    """Per-op medians and quartiles of each side's untraced runs that did
+    not error, the relative change of the medians and whether the runs'
+    spread resolves it, for the ops that every such run timed."""
+    sides = [[run["ops_s"] for run in runs if "error" not in run]
+             for runs in (parent, change)]
+    out = {}
+    for name in sorted(set.intersection(*(set(ops) for ops in sides[0] + sides[1]))):
+        before, after = (quartiles([ops[name] for ops in runs]) for runs in sides)
+        iqrs = [side["q3"] - side["q1"] for side in (before, after)]
+        moved = after["median"] - before["median"]
+        out[name] = {"parent": before, "change": after,
+                     "parent_iqr": iqrs[0], "change_iqr": iqrs[1],
+                     "relative_change": moved / before["median"] if before["median"] else None,
+                     "verdict": "unresolved" if max(iqrs) > abs(moved) else "resolved"}
+    return out
+
+
 def main() -> int:
     spec = json.loads((ROOT / "BENCHMARK.json").read_text())
     seconds = spec["run_seconds"]
@@ -210,7 +239,7 @@ def main() -> int:
                     values = bench_once(trees[side], workload, seed, seconds)
                     runs[side].append(dict(values, seed=seed))
                     print(f"{workload} seed {seed} {side}: {values}", file=sys.stderr)
-            metrics = {}
+            metrics, ops = {}, {}
             if all(any("error" not in r for r in side) for side in runs.values()):
                 more_failures = fails_more(runs["parent"], runs["change"])
                 for m in spec["end_to_end"]:
@@ -218,7 +247,8 @@ def main() -> int:
                     metrics[name] = summarise(m, [r.get(name) for r in runs["parent"]],
                                               [r.get(name) for r in runs["change"]],
                                               more_failures)
-            report["workloads"][workload] = {"metrics": metrics, "runs": runs}
+                ops = ops_summary(runs["parent"], runs["change"])
+            report["workloads"][workload] = {"metrics": metrics, "ops": ops, "runs": runs}
             traced = {"parent": [], "change": []}
             for i in range(TRACE_PAIRS):
                 seed = args.first_seed + i

@@ -11,6 +11,8 @@ sharpens that ladder rather than merging the two sectors into a single
 q-spaced grid.  The last column is the deviation from q of the
 sector-coupled extension (`x_extension_eigensystem`), which imposes a
 boundary condition that joins the sectors and converges to the q grid.
+The default sizes run to N = 600 (q^N ~ e^243 at q = 1.5); the largest N
+is the one `PhaseParams` admits before s0^2 q^(2N) overflows a double.
 """
 
 import argparse
@@ -28,7 +30,7 @@ def main() -> None:
     ap.add_argument("--q", type=float, default=1.5)
     ap.add_argument("--s0", type=float, default=1.0)
     ap.add_argument("--sizes", type=int, nargs="+",
-                    default=[15, 20, 30, 40, 60, 80, 100, 200, 400])
+                    default=[15, 20, 30, 40, 60, 80, 100, 200, 400, 460, 600])
     args = ap.parse_args()
 
     print(f"q = {args.q}, s0 = {args.s0}")

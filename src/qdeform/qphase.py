@@ -40,8 +40,10 @@ _GAUGE = np.array([1.0, -1j, -1.0, 1j])
 
 
 class SpectrumWindowError(RuntimeError):
-    """Raised when a spectral route yields no usable window at this N; the
-    message says whether a smaller or a larger N helps."""
+    """Raised when a spectral route yields no usable window at this N: the
+    trims leave fewer than three values, or the ladder eigenvectors fail
+    their orthonormality check.  The message says whether a smaller or a
+    larger N helps."""
 
 
 def _largest_value(q: float, N: int, s0: float) -> float:
@@ -372,15 +374,41 @@ def _ladder(bonds: np.ndarray):
     """Ascending eigenvalues and eigenvectors of the real symmetric
     tridiagonal T with zero diagonal and off-diagonal `bonds`.
 
-    T is a permuted bidiagonal, so bisection finds every eigenvalue to high
-    relative accuracy however strongly the bonds are graded (Demmel & Kahan,
-    SIAM J. Sci. Stat. Comput. 11 (1990)); inverse iteration then gives the
-    eigenvectors.  scipy.linalg takes ~0.3 s to import, so only here.
+    T is a permuted Golub-Kahan form: it maps the even sites to the odd ones
+    by the upper bidiagonal C with C[j, j] = b[2j], C[j, j+1] = b[2j+1]
+    (rows odd sites, columns even sites, a zero row appended when the count
+    of sites is odd), and back by C^T.  With C = U S V^T the pairs +-s_k have
+    the eigenvectors (v_k, +-u_k)/sqrt(2) on (even, odd) sites, and an odd
+    ladder adds the null vector v of its zero row on the even sites, with
+    eigenvalue exactly 0.  LAPACK's gesvd reduces a bidiagonal without fill
+    and runs the zero-shift QR of dbdsqr, which gives every singular value to
+    high relative accuracy however strongly the bonds are graded, and
+    singular vectors orthogonal by construction (Demmel & Kahan, SIAM J. Sci.
+    Stat. Comput. 11 (1990) 873); numpy's gesdd does not keep the tiny
+    values accurate.  Each vector is signed so that its largest-magnitude
+    component is positive.  scipy.linalg takes ~0.3 s to import, so only
+    here.
     """
-    from scipy.linalg import eigh_tridiagonal
+    from scipy.linalg import svd
 
-    return eigh_tridiagonal(np.zeros(len(bonds) + 1), bonds,
-                            lapack_driver="stebz", tol=2 * np.finfo(float).tiny)
+    n = len(bonds) + 1
+    k = n // 2                          # odd sites, and pairs of values
+    C = np.zeros(((n + 1) // 2,) * 2)   # rows odd sites, columns even sites
+    C[np.arange(k), np.arange(k)] = bonds[0::2]
+    j = np.arange(len(bonds) // 2)
+    C[j, j + 1] = bonds[1::2]
+    u, s, vt = svd(C, lapack_driver="gesvd", check_finite=False)
+    # s descends, so -s[:k] ascends and s[k-1::-1] ascends; an odd ladder's
+    # zero row adds s[k] = 0 with u the row's unit vector
+    v, w = np.sqrt(0.5) * vt[:k].T, np.sqrt(0.5) * u[:k, :k]
+    vecs = np.zeros((n, n))
+    vecs[0::2, :k], vecs[1::2, :k] = v, -w
+    vecs[0::2, n - k:], vecs[1::2, n - k:] = v[:, ::-1], w[:, ::-1]
+    if n % 2:
+        vecs[0::2, k] = vt[k]
+    peak = vecs[np.argmax(np.abs(vecs), axis=0), np.arange(n)]
+    vecs *= np.copysign(1.0, peak)
+    return np.concatenate([-s[:k], np.zeros(n - 2 * k), s[k - 1::-1]]), vecs
 
 
 def _solve_ladders(rep: PhaseRep, *bond_sets):
@@ -391,9 +419,10 @@ def _solve_ladders(rep: PhaseRep, *bond_sets):
     G = diag((-i)^k), k counted from the run's first site (starting the
     count elsewhere multiplies G by a phase).  Returns the (values, vectors)
     pairs, the largest orthonormality defect and the largest relative
-    residual.  Inverse iteration breaks down on strongly graded ladders
-    (q^N beyond about e^190 at q = 1.5 to 3), so eigenvectors that are not
-    finite and orthonormal to ORTHONORMALITY_TOL are refused.
+    residual.  The singular vectors are orthonormal to a few ulps on every
+    ladder that `PhaseParams` admits; eigenvectors that are nevertheless not
+    finite and orthonormal to ORTHONORMALITY_TOL, or a solver that fails,
+    are refused.
     """
     ladders, unitarity, residual = [], 0.0, 0.0
     for bonds in bond_sets:
@@ -407,8 +436,8 @@ def _solve_ladders(rep: PhaseRep, *bond_sets):
             raise SpectrumWindowError(
                 f"the ladder eigenvectors at N = {rep.params.N} are not "
                 f"orthonormal to {ORTHONORMALITY_TOL:g} (defect {defect:.3g}): "
-                f"inverse iteration breaks down on a ladder this strongly "
-                f"graded; use a smaller N")
+                f"the singular value decomposition failed on this ladder; "
+                f"use a smaller N")
         tv = vecs * vals
         tv[:-1] -= bonds[:, None] * vecs[1:]
         tv[1:] -= bonds[:, None] * vecs[:-1]
@@ -419,9 +448,10 @@ def _solve_ladders(rep: PhaseRep, *bond_sets):
 
 
 def _ladder_report(rep: PhaseRep, vals, vecs, positives, margins, defects):
-    """Sort the doubled spectrum `vals` with its eigenvectors and analyse the
-    positive ladder: `margins` = (low, high) values are trimmed at the small
-    and the large end before the ratio series is formed."""
+    """Analyse the positive ladder of the ascending doubled spectrum `vals`
+    (eigenvectors `vecs`, returned with the report): `margins` = (low, high)
+    values are trimmed at the small and the large end before the ratio
+    series is formed."""
     N = rep.params.N
     lo, hi = margins[0], len(positives) - margins[1]
     if hi - lo < 3:
@@ -432,12 +462,11 @@ def _ladder_report(rep: PhaseRep, vals, vecs, positives, margins, defects):
     kept = positives[lo:hi]
     ratios = kept[1:] / kept[:-1]
     q = rep.params.q
-    order = np.argsort(vals, kind="stable")
     report = SpectrumReport(
         q=q,
         N=N,
         s0=rep.params.s0,
-        eigenvalues=vals[order],
+        eigenvalues=vals,
         positives=positives,
         window=(lo, hi),
         kept=kept,
@@ -447,7 +476,7 @@ def _ladder_report(rep: PhaseRep, vals, vecs, positives, margins, defects):
         unitarity_defect=defects[0],
         diagonalization_defect=defects[1],
     )
-    return report, vecs[:, order]
+    return report, vecs
 
 
 def x_eigensystem(rep: PhaseRep):
@@ -476,9 +505,14 @@ def x_eigensystem(rep: PhaseRep):
     _require_doubled(rep)
     N = rep.params.N
     [(vals, vecs)], *defects = _solve_ladders(rep, rep.X)
-    zero = np.zeros_like(vecs)
-    return _ladder_report(rep, np.concatenate([vals, -vals]),
-                          np.block([[vecs, zero], [zero, vecs]]),
+    # vals is exactly +-symmetric, so the doubled spectrum in ascending order
+    # is each value twice: first the plus sector's vector of vals[i], then
+    # the minus sector's of -vals[d-1-i]
+    d = len(vals)
+    out = np.zeros((2 * d, 2 * d), dtype=complex)
+    out[:d, 0::2] = vecs
+    out[d:, 1::2] = vecs[:, ::-1]
+    return _ladder_report(rep, np.repeat(vals, 2), out,
                           vals[N + 1:], (2, max(2, N // 6)), defects)
 
 
@@ -541,10 +575,14 @@ def x_extension_eigensystem(rep: PhaseRep):
     v = np.zeros_like(u)   # the odd ladder, then the null vector at n = -N
     v[1:, :-1] = w
     v[0, -1] = 1.0
+    vals = np.concatenate([even, odd, [0.0]])
+    order = np.argsort(vals, kind="stable")
+    # the even ladder is (u, parity u)/sqrt(2), the odd one (v, -parity v)/sqrt(2)
+    upper = np.hstack([u, v])[:, order] * np.sqrt(0.5)
     parity = ((-1.0) ** np.arange(-N, N + 1))[:, None]
-    vecs = np.block([[u, v], [parity * u, -parity * v]]) * np.sqrt(0.5)
+    lower = parity * upper * np.where(order < len(even), 1.0, -1.0)
     positives = np.sort(np.concatenate([even[N + 1:], odd[N:]]))
-    return _ladder_report(rep, np.concatenate([even, odd, [0.0]]), vecs,
+    return _ladder_report(rep, vals[order], np.vstack([upper, lower]),
                           positives, (4, 2 * max(2, N // 6)), defects)
 
 

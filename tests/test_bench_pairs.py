@@ -105,6 +105,69 @@ def test_layer_whose_spread_exceeds_its_change_is_unresolved():
     assert layers["suq2.dim_total"]["verdict"] == "resolved"
 
 
+def _op_runs(times: dict[str, list[float]]) -> list[dict]:
+    """Untraced runs whose detail lines timed each op as given, run i
+    taking the i-th time."""
+    count = len(next(iter(times.values())))
+    return [{"wall_s": 1.0, "ops_s": {name: t[i] for name, t in times.items()}}
+            for i in range(count)]
+
+
+def test_ops_summary_reads_quartiles_of_each_side():
+    # the ladder op moved 129 -> 19 ms; the classical op did not move
+    parent = _op_runs({"x_eigensystem_N200": [0.129, 0.131, 0.127, 0.133, 0.130],
+                       "compare_closed_form_t200": [0.046, 0.050, 0.048, 0.047, 0.049]})
+    change = _op_runs({"x_eigensystem_N200": [0.019, 0.020, 0.018, 0.021, 0.019],
+                       "compare_closed_form_t200": [0.049, 0.045, 0.048, 0.050, 0.047]})
+    ops = bench_pairs.ops_summary(parent, change)
+    ladder = ops["x_eigensystem_N200"]
+    assert ladder["parent"] == {"median": 0.130, "q1": 0.129, "q3": 0.131}
+    assert ladder["change"]["median"] == 0.019
+    assert ladder["parent_iqr"] == pytest.approx(0.002)
+    assert ladder["change_iqr"] == pytest.approx(0.001)
+    assert ladder["relative_change"] == pytest.approx((0.019 - 0.130) / 0.130)
+    assert ladder["verdict"] == "resolved"
+    classical = ops["compare_closed_form_t200"]
+    assert classical["relative_change"] == 0.0
+    assert classical["verdict"] == "unresolved"
+
+
+def test_op_is_unresolved_when_either_sides_spread_exceeds_its_change():
+    steady = [0.100] * 5
+    wide = [0.080, 0.090, 0.105, 0.120, 0.130]     # IQR 0.03, median 0.105
+    for parent, change in ((steady, wide), (wide, [0.110] * 5)):
+        op = bench_pairs.ops_summary(_op_runs({"op": parent}), _op_runs({"op": change}))["op"]
+        assert max(op["parent_iqr"], op["change_iqr"]) > abs(
+            op["change"]["median"] - op["parent"]["median"])
+        assert op["verdict"] == "unresolved"
+
+
+def test_ops_summary_skips_errored_runs_and_ops_one_side_lacks():
+    parent = _op_runs({"a": [1.0, 1.0, 1.0], "gone": [2.0, 2.0, 2.0]})
+    change = _op_runs({"a": [0.5, 0.5, 0.5], "new": [3.0, 3.0, 3.0]})
+    change.append({"error": "Traceback"})
+    ops = bench_pairs.ops_summary(parent, change)
+    assert set(ops) == {"a"}
+    assert ops["a"]["change"] == {"median": 0.5, "q1": 0.5, "q3": 0.5}
+    assert ops["a"]["verdict"] == "resolved"
+
+
+def test_bench_once_keeps_the_detail_lines_op_times(tmp_path):
+    """An untraced run's detail line, printed before the result, gives the
+    run's per-op medians; a traced run keeps only its metrics."""
+    bench = tmp_path / "bench"
+    bench.mkdir()
+    (bench / "run.py").write_text(
+        "import json, sys\n"
+        "print(json.dumps({'detail': {'ops_s': {'x_eigensystem_N200': 0.019}}}))\n"
+        "print(json.dumps({'correct': True, 'metrics': "
+        "{'wall_s': {'value': 0.13, 'unit': 's'}}}))\n")
+    assert bench_pairs.bench_once(tmp_path, "float-certs", 1, 1.0) == {
+        "wall_s": 0.13, "ops_s": {"x_eigensystem_N200": 0.019}}
+    assert bench_pairs.bench_once(tmp_path, "float-certs", 1, 1.0, trace=1) == {
+        "wall_s": 0.13}
+
+
 def test_probe_option_is_gone():
     assert not hasattr(bench_pairs, "probe_once")
     assert "--probe" not in _SCRIPT.read_text()

@@ -506,14 +506,44 @@ def test_extension_ladder_known_answer_at_n_200():
     assert vecs.shape == (802, 802)
 
 
-@pytest.mark.parametrize("route", [x_eigensystem, x_extension_eigensystem])
-def test_ladder_breakdown_advises_smaller_n(route):
-    # at q = 3 inverse iteration returns NaN eigenvectors from N ~ 200 on
-    with pytest.raises(SpectrumWindowError) as err:
-        route(rep_for(q=3.0, N=200, s0=1.0))
-    message = str(err.value)
-    assert "N = 200" in message
-    assert "use a smaller N" in message
+def _bisection_positives(*bond_sets):
+    """The positive values of each zero-diagonal ladder by values-only
+    bisection, the former solver, sorted."""
+    from scipy.linalg import eigh_tridiagonal
+
+    vals = [eigh_tridiagonal(np.zeros(len(b) + 1), b, eigvals_only=True,
+                             lapack_driver="stebz", tol=2 * np.finfo(float).tiny)
+            for b in bond_sets]
+    return np.sort(np.concatenate([v[len(v) // 2 + 1:] if len(v) % 2 else v[len(v) // 2:]
+                                   for v in vals]))
+
+
+@pytest.mark.parametrize("q, N", [(3.0, 200), (1.5, 470)])
+def test_block_ladder_known_answer_on_strongly_graded_ladders(q, N):
+    """Inverse iteration, the former eigenvector solver, returned NaN or
+    non-orthonormal vectors here; the singular vectors are orthonormal."""
+    rep = rep_for(q=q, N=N)
+    report, vecs = x_eigensystem(rep)
+    assert len(report.positives) == N
+    assert report.ratio_dev_max_squared <= 1e-3
+    assert report.unitarity_defect <= 1e-10
+    assert report.diagonalization_defect <= 1e-9
+    assert vecs.shape == (rep.dim, rep.dim)
+    expected = _bisection_positives(rep.X)
+    assert np.all(np.abs(report.positives - expected) <= 64 * np.spacing(expected))
+
+
+@pytest.mark.parametrize("q, N", [(3.0, 200), (1.5, 470)])
+def test_extension_ladder_known_answer_on_strongly_graded_ladders(q, N):
+    rep = rep_for(q=q, N=N)
+    report, vecs = x_extension_eigensystem(rep)
+    assert len(report.positives) == 2 * N
+    assert report.ratio_dev_max <= 1e-3
+    assert report.unitarity_defect <= 1e-10
+    assert report.diagonalization_defect <= 1e-9
+    assert vecs.shape == (rep.dim, rep.dim)
+    expected = _bisection_positives(rep.X, rep.X[1:])
+    assert np.all(np.abs(report.positives - expected) <= 64 * np.spacing(expected))
 
 
 def test_eigensolver_failure_is_a_window_error(monkeypatch):
@@ -526,7 +556,47 @@ def test_eigensolver_failure_is_a_window_error(monkeypatch):
         x_eigensystem(rep_for(q=1.5, N=20))
 
 
-@pytest.mark.parametrize("q, s0", [(1.5, 1.0), (1.5, 1.2), (1.7, 1.0), (1.7, 1.2)])
+def test_non_orthonormal_ladder_vectors_are_a_window_error(monkeypatch):
+    import qdeform.qphase as qphase
+
+    solve = qphase._ladder
+
+    def skewed(bonds):
+        vals, vecs = solve(bonds)
+        vecs[:, 1] += 1e-6 * vecs[:, 0]
+        return vals, vecs
+    monkeypatch.setattr(qphase, "_ladder", skewed)
+    for route in (x_eigensystem, x_extension_eigensystem):
+        with pytest.raises(SpectrumWindowError, match="N = 20") as err:
+            route(rep_for(q=1.5, N=20))
+        assert "not orthonormal" in str(err.value)
+
+
+@pytest.mark.parametrize("q, N", [(1.5, 12), (3.0, 60), (1.5, 200)])
+@pytest.mark.parametrize("drop", [0, 1])
+def test_ladder_sign_and_null_conventions(q, N, drop):
+    """Each eigenvector's largest-magnitude component is positive (LAPACK
+    dstein's convention); an odd ladder has one eigenvalue +0.0, whose
+    vector lives on the even sites, and an even ladder none."""
+    from qdeform.qphase import _ladder
+
+    bonds = rep_for(q=q, N=N).X[drop:]
+    vals, vecs = _ladder(bonds)
+    n = len(bonds) + 1
+    assert np.all(np.diff(vals) > 0)
+    peak = vecs[np.argmax(np.abs(vecs), axis=0), np.arange(n)]
+    assert np.all(peak > 0)
+    zero = np.flatnonzero(vals == 0)
+    if n % 2:
+        assert len(zero) == 1 and not np.signbit(vals[zero[0]])
+        null = vecs[:, zero[0]]
+        assert np.all(null[1::2] == 0) and np.linalg.norm(null) == pytest.approx(1.0)
+    else:
+        assert len(zero) == 0
+
+
+@pytest.mark.parametrize("q, s0", [(1.5, 1.0), (1.5, 1.2), (1.7, 1.0), (1.7, 1.2),
+                                   (3.0, 1.0)])
 @pytest.mark.parametrize("N", [13, 60])
 @pytest.mark.parametrize("route, matrix", [
     (x_eigensystem, lambda rep: _dense(rep)[1]),
