@@ -3,17 +3,23 @@
 A Presentation fixes an ordered generator list and, for out-of-order adjacent
 generator pairs, a rewrite target that is a combination of normal-ordered
 monomials of degree <= 2 plus an optional constant.  Rewriting never raises
-degree, so normal forms exist whenever the rule set terminates; a step budget
-guards the rest.  The flatness scan eliminates the one-step rewrite
-equations with one division-free routine, twice: at a generic rational point
-to decide monomial counts and discover relations, then once over the exact
-scalar ring to re-verify every discovered relation symbolically.
+degree.  `normal_form_words` rewrites the largest pending word first in
+deglex order (longer words first, then lexicographically later ones), always
+at its leftmost out-of-order pair.  When every rule target is smaller than
+the pair it replaces, as in Bergman's diamond lemma, each word is then
+rewritten once, carrying the sum of every coefficient that reaches it; a
+step budget guards presentations whose rules do not decrease.  The flatness
+scan eliminates the one-step rewrite equations with one division-free
+routine, twice: at a generic rational point to decide monomial counts and
+discover relations, then once over the exact scalar ring to re-verify every
+discovered relation symbolically.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
+from heapq import heappop, heappush
 from math import comb
 from typing import Mapping
 
@@ -25,6 +31,11 @@ DEFAULT_BRANCH_BUDGET = 20_000
 
 # generic rational evaluation point for rank decisions: s = 7/5, q = 49/25
 GENERIC_S = Fraction(7, 5)
+
+# the rewriting kernel stores words as bytes, one letter per generator index
+MAX_GENERATORS = 256
+# reverses byte order, so that a min-heap pops lexicographically later first
+_COMPLEMENT = bytes(range(255, -1, -1))
 
 
 class PresentationError(ValueError):
@@ -68,7 +79,9 @@ class Presentation:
     rules maps (left_gen, right_gen) with left_gen > right_gen to a tuple of
     (exponent vector, exact coefficient) targets.  generators[:n_coords] are
     coordinate symbols; the rest are operator symbols (used by the derivative
-    action to encode "operator acting on 1 gives 0").
+    action to encode "operator acting on 1 gives 0").  The rewriting kernel
+    reads the rules from `_targets`: pair word -> ((target word,
+    coefficient or None for 1), ...), every word in bytes.
     """
 
     generators: tuple[str, ...]
@@ -80,6 +93,10 @@ class Presentation:
         k = len(self.generators)
         if k == 0 or len(set(self.generators)) != k:
             raise PresentationError("generators must be distinct and nonempty")
+        if k > MAX_GENERATORS:
+            raise PresentationError(
+                f"{k} generators; at most {MAX_GENERATORS} are supported"
+            )
         if self.n_coords == -1:
             object.__setattr__(self, "n_coords", k)
         if not 0 <= self.n_coords <= k:
@@ -98,6 +115,12 @@ class Presentation:
                     )
                 if not isinstance(coeff, QExact) or coeff.is_zero():
                     raise PresentationError("rule coefficients must be nonzero QExact")
+        object.__setattr__(self, "_targets", {
+            bytes(pair): tuple(
+                (bytes(_expand(ev)), None if c.is_one() else c) for ev, c in targets
+            )
+            for pair, targets in self.rules.items()
+        })
 
     @property
     def arity(self) -> int:
@@ -137,7 +160,7 @@ class Presentation:
         return NCPoly(self, {(0,) * self.arity: QExact._coerce(value)})
 
 
-def _leftmost_descent(pres: Presentation, word: Word):
+def _leftmost_descent(word: bytes):
     for k in range(len(word) - 1):
         if word[k] > word[k + 1]:
             return k
@@ -151,25 +174,36 @@ def normal_form_words(
 ) -> "NCPoly":
     """Rewrite a combination of raw words to its normal form.
 
-    Each popped word has its leftmost out-of-order pair rewritten; branches
-    with identical words are merged immediately so coefficients can cancel.
+    Pending words wait in one dict (word -> coefficient), so that branches
+    reaching the same word merge and their coefficients can cancel.  The
+    largest pending word in deglex order is popped first and rewritten at
+    its leftmost out-of-order pair.  If every rule target is smaller than
+    the pair it replaces, every word it produces is smaller than itself, so
+    no word is popped twice: the steps are the distinct non-normal words
+    reached.  Otherwise a word can come back, and more than `budget` steps
+    raise DivergedError.
     """
+    targets = pres._targets
+    arity = pres.arity
     result: dict[ExpVec, QExact] = {}
-    pending: dict[Word, QExact] = {}
+    pending: dict[bytes, QExact] = {}
+    heap: list = []
     for w, c in word_terms.items():
         c = QExact._coerce(c)
-        if not c.is_zero():
-            acc = pending.get(w)
-            acc = c if acc is None else acc + c
-            if acc.is_zero():
-                pending.pop(w, None)
-            else:
-                pending[w] = acc
+        w = bytes(w)
+        acc = pending.get(w)
+        if acc is None:
+            pending[w] = c
+            heappush(heap, (-len(w), w.translate(_COMPLEMENT), w))
+        else:
+            pending[w] = acc + c
     steps = 0
-    arity = pres.arity
-    while pending:
-        word, coeff = pending.popitem()
-        pos = _leftmost_descent(pres, word)
+    while heap:
+        word = heappop(heap)[2]
+        coeff = pending.pop(word)
+        if coeff.is_zero():
+            continue
+        pos = _leftmost_descent(word)
         if pos is None:
             ev = _word_expvec(word, arity)
             acc = result.get(ev)
@@ -185,16 +219,19 @@ def normal_form_words(
                 f"rewrite budget of {budget} steps exceeded "
                 f"(presentation {pres.name!r} is not terminating here)"
             )
-        targets = pres.rule_for(word[pos], word[pos + 1])
+        rule = targets.get(word[pos:pos + 2])
+        if rule is None:
+            pres.rule_for(word[pos], word[pos + 1])  # raises MissingRuleError
         head, tail = word[:pos], word[pos + 2:]
-        for ev, c in targets:
-            nw = head + _expand(ev) + tail
+        for target, c in rule:
+            nw = head + target + tail
+            term = coeff if c is None else coeff * c
             acc = pending.get(nw)
-            acc = coeff * c if acc is None else acc + coeff * c
-            if acc.is_zero():
-                pending.pop(nw, None)
+            if acc is None:
+                pending[nw] = term
+                heappush(heap, (-len(nw), nw.translate(_COMPLEMENT), nw))
             else:
-                pending[nw] = acc
+                pending[nw] = acc + term
     return NCPoly(pres, result)
 
 

@@ -1,5 +1,6 @@
 """Rewriting engine: golden normal forms, confluence, flatness, derivatives."""
 
+import random
 from fractions import Fraction
 
 import pytest
@@ -20,7 +21,7 @@ from qdeform.ncalg import (
 )
 from qdeform.parsing import parse_expr, parse_rule
 from qdeform.presets import get_preset
-from qdeform.scalars import QExact, QExactError
+from qdeform.scalars import QExact, QExactError, q_number
 
 manin = get_preset("manin")
 counterexample = get_preset("counterexample")
@@ -76,6 +77,34 @@ def test_missing_rule_raises():
         normal_form(wz, (3, 2))
 
 
+def test_qheisenberg_p8x8_normalizes_at_default_budget():
+    # p acts as -i times the q-derivative on x^m, so p^8 x^8 applied to 1 is
+    # (-i)^8 [8]_q!; each of the 64 swaps p*x -> q*x*p contributes one q
+    n = 8
+    nf = normal_form(qheis, (1,) * n + (0,) * n)
+    const = (-QExact.i()) ** n
+    for m in range(1, n + 1):
+        const = const * q_number(m, 1)
+    assert len(nf.terms) == n + 1
+    assert nf.coefficient((0, 0)) == const
+    assert nf.coefficient((n, n)) == QExact.q_power(n * n)
+    assert nf == parse_expr("*".join(["p"] * n + ["x"] * n), qheis)
+
+
+def test_each_pending_word_is_rewritten_once():
+    # p^6 x^6 reaches 91 distinct non-normal words; rewriting each once
+    # takes exactly that many steps
+    word = (1,) * 6 + (0,) * 6
+    assert len(normal_form(qheis, word, budget=91).terms) == 7
+    with pytest.raises(DivergedError):
+        normal_form(qheis, word, budget=90)
+
+
+def test_presentation_rejects_too_many_generators():
+    with pytest.raises(PresentationError):
+        Presentation(generators=tuple(f"g{k}" for k in range(257)), rules={})
+
+
 def test_presentation_rejects_degree_raising_rule():
     with pytest.raises(PresentationError):
         Presentation(
@@ -111,6 +140,15 @@ def test_all_orders_match_leftmost_strategy():
     for word in all_words(2, 5):
         forms = all_normal_forms(manin, word)
         assert normal_form(manin, word).freeze() in forms
+
+
+@pytest.mark.parametrize("pres", [manin, qheis, suq2],
+                         ids=["manin", "qheisenberg", "suq2-module"])
+def test_normal_form_matches_all_orders_oracle_on_random_words(pres):
+    rng = random.Random(19)
+    for _ in range(40):
+        word = tuple(rng.randrange(pres.arity) for _ in range(rng.randint(0, 6)))
+        assert {normal_form(pres, word).freeze()} == all_normal_forms(pres, word), word
 
 
 def test_all_normal_forms_diverges_on_cycle():
