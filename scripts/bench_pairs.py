@@ -38,15 +38,13 @@ change comes from, with the spread of ten runs per side.
 
 Each workload then runs 2 more pairs with --trace 1, alternating which
 side runs first as above, and their per-layer metrics are kept under
-"layers": each side's median, the relative change of the medians, and
-the spread (the larger of the two sides' ranges over their traced runs),
-for every layer that either side used (a layer a workload never calls
-reads 0 on both).  They show in which
-layer a change of the end-to-end metrics arises; with one traced run per
-order the run-order bias cancels in the medians.  A layer whose spread
-exceeds the change of its medians reads "unresolved", otherwise
-"resolved": two traced runs per side cannot tell such a layer's change
-from run-to-run noise.
+"layers": each side's median and the relative change of the medians, for
+every layer that either side used (a layer a workload never calls reads 0
+on both).  They point to the layer in which a change of the end-to-end
+metrics arises; with one traced run per order the run-order bias cancels
+in the medians.  They carry no verdict: two traced runs per side cannot
+tell a layer's change from run-to-run noise, so the per-op verdicts of
+the ten untraced runs per side under "ops" decide.
 """
 
 from __future__ import annotations
@@ -163,9 +161,8 @@ def summarise(metric: dict, parent: list, change: list, more_failures: bool) -> 
 
 
 def layer_summary(parent: list[dict], change: list[dict]) -> dict:
-    """Per-layer medians of each side's traced runs, their relative change,
-    the spread of the runs and whether it resolves the change, for the
-    layers either side used."""
+    """Per-layer medians of each side's traced runs and their relative
+    change, for the layers either side used."""
     out = {}
     for name in parent[0]:
         if not all(name in run for run in parent + change):
@@ -174,11 +171,8 @@ def layer_summary(parent: list[dict], change: list[dict]) -> dict:
         before, after = (statistics.median(values) for values in sides)
         if before == after == 0:
             continue
-        spread = max(max(values) - min(values) for values in sides)
         out[name] = {"parent": before, "change": after,
-                     "relative_change": (after - before) / before if before else None,
-                     "spread": spread,
-                     "verdict": "unresolved" if spread > abs(after - before) else "resolved"}
+                     "relative_change": (after - before) / before if before else None}
     return out
 
 

@@ -348,12 +348,16 @@ def _tolerance(text: str) -> float:
     return value
 
 
-def _add_common_output(parser: argparse.ArgumentParser):
+def _add_common_output(parser: argparse.ArgumentParser, csv: bool = False,
+                       tol: bool = False):
+    """--json and --out everywhere; --csv and --tol where the handler reads them."""
     parser.add_argument("--json", action="store_true", help="emit JSON")
-    parser.add_argument("--csv", action="store_true", help="emit CSV")
+    if csv:
+        parser.add_argument("--csv", action="store_true", help="emit CSV")
     parser.add_argument("--out", help="write output to a file")
-    parser.add_argument("--tol", type=_tolerance, default=None,
-                        help="override the default check tolerance")
+    if tol:
+        parser.add_argument("--tol", type=_tolerance, default=None,
+                            help="override the default check tolerance")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -377,14 +381,14 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--q", required=True, type=float)
     p.add_argument("--check", action="store_true",
                    help="exit 1 when residuals exceed tolerance")
-    _add_common_output(p)
+    _add_common_output(p, tol=True)
     p.set_defaults(handler=_cmd_rep)
 
     p = sub.add_parser("tensor", help="tensor two spins and decompose")
     p.add_argument("--j", required=True, help="first spin")
     p.add_argument("--j2", help="second spin (defaults to --j)")
     p.add_argument("--q", required=True, type=float)
-    _add_common_output(p)
+    _add_common_output(p, tol=True)
     p.set_defaults(handler=_cmd_tensor)
 
     p = sub.add_parser("plane", help="noncommutative-plane computations")
@@ -404,7 +408,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--N", required=True, type=int)
     p.add_argument("--s0", type=float, default=1.0)
     p.add_argument("--sectors", default="both", choices=["plus", "minus", "both"])
-    _add_common_output(p)
+    _add_common_output(p, csv=True, tol=True)
     p.set_defaults(handler=_cmd_phase)
 
     p = sub.add_parser("classical", help="classical deformed dynamics")
@@ -414,7 +418,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--t-max", type=float, default=5.0, dest="t_max")
     p.add_argument("--t-start", type=float, default=50.0, dest="t_start")
     p.add_argument("--t-end", type=float, default=200.0, dest="t_end")
-    _add_common_output(p)
+    _add_common_output(p, csv=True, tol=True)
     p.set_defaults(handler=_cmd_classical)
 
     return parser

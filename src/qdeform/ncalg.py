@@ -235,6 +235,17 @@ def normal_form_words(
     return NCPoly(pres, result)
 
 
+def _check_letters(pres: Presentation, word: Word) -> None:
+    """Refuse a raw word with a letter that indexes no generator."""
+    k = pres.arity
+    for g in word:
+        if not 0 <= g < k:
+            raise PresentationError(
+                f"letter {g!r} of word {tuple(word)} is no generator index: "
+                f"presentation {pres.name!r} has {k} generators, 0..{k - 1}"
+            )
+
+
 def normal_form(pres: Presentation, value, budget: int = DEFAULT_STEP_BUDGET) -> "NCPoly":
     """Normal form of a word, a word->coefficient mapping, or an NCPoly."""
     if isinstance(value, NCPoly):
@@ -242,10 +253,12 @@ def normal_form(pres: Presentation, value, budget: int = DEFAULT_STEP_BUDGET) ->
             raise PresentationError("polynomial belongs to a different presentation")
         return value  # normal by construction
     if isinstance(value, tuple):
-        return normal_form_words(pres, {value: QExact.one()}, budget)
-    if isinstance(value, Mapping):
-        return normal_form_words(pres, value, budget)
-    raise TypeError(f"cannot normalize {value!r}")
+        value = {value: QExact.one()}
+    elif not isinstance(value, Mapping):
+        raise TypeError(f"cannot normalize {value!r}")
+    for word in value:
+        _check_letters(pres, word)
+    return normal_form_words(pres, value, budget)
 
 
 class NCPoly:
@@ -423,6 +436,7 @@ def all_normal_forms(
     rewrite dependency or a combinatorial blowup raises DivergedError.
     """
     word = tuple(word)
+    _check_letters(pres, word)
     arity = pres.arity
     # memo values: tuple of term dicts (one per reachable normal form)
     memo: dict[Word, tuple[dict, ...]] = {}

@@ -516,53 +516,22 @@ def x_eigensystem(rep: PhaseRep):
                           vals[N + 1:], (2, max(2, N // 6)), defects)
 
 
-def sector_coupled_x(rep: PhaseRep) -> np.ndarray:
-    """The doubled X with a sector-coupling boundary condition at n = -N.
-
-    A finite-window realization of a boundary condition that joins the two
-    sectors at p -> 0.  In the parity combinations
-    e(+|-)_n = |n,+> (+|-) (-1)^n |n,->, each of which X maps into itself,
-    the even combinations keep the whole window while the odd ones vanish
-    at the innermost site n = -N, as the q-sine vanishes at p = 0.  With
-    b = X[(-N,+), (-N+1,+)] this halves the four intra-sector bond entries
-    between n = -N and n = -N+1 and adds the hermitean cross entries
-    (-1)^(N-1) b/2 at ((-N,+), (-N+1,-)) and (-1)^N b/2 at
-    ((-N,-), (-N+1,+)).  Every changed entry has a row or column at n = -N,
-    so the interior is bit-identical to the block-diagonal doubled X, which
-    is X_+ on the plus sector and -X_+ on the minus sector.
-    """
-    _require_doubled(rep)
-    N = rep.params.N
-    d = 2 * N + 1
-    plus, minus = 0, d          # indices of (-N,+) and (-N,-)
-    col = np.concatenate([np.arange(1, d), np.arange(d + 1, 2 * d)])  # no bond joins the sectors
-    bonds = np.concatenate([rep.X, 0.0 - rep.X])
-    X = np.zeros((2 * d, 2 * d), dtype=complex)
-    X.imag[col - 1, col] = bonds
-    X.imag[col, col - 1] = 0.0 - bonds
-    b = X[plus, plus + 1]
-    for i in (plus, minus):
-        X[i, i + 1] /= 2.0
-        X[i + 1, i] /= 2.0
-    X[plus, minus + 1] = (-1) ** (N - 1) * b / 2.0
-    X[minus, plus + 1] = (-1) ** N * b / 2.0
-    X[minus + 1, plus] = np.conj(X[plus, minus + 1])
-    X[plus + 1, minus] = np.conj(X[minus, plus + 1])
-    return X
-
-
 def x_extension_eigensystem(rep: PhaseRep):
     """Eigen-decomposition of the sector-coupled extension of X.
 
-    Returns (SpectrumReport, eigenvector matrix) for `sector_coupled_x(rep)`
-    without forming it: in the parity combinations e(+|-)_n its even ladder
-    is X_+ on the sites -N..N, its odd ladder X_+ on -N+1..N, and e(-)_(-N)
-    is a null vector.  The two ladders interlace, so the positive spectrum
-    is simple and consecutive ratios approach q itself.  The values sit on
-    the grid +-q^(k+1/2) / (lambda s0), lambda = q - 1/q: the x for which
-    x p meets the asymptotic zeros of the q-cosine and q-sine of the
-    q-Fourier kernel E(-i x p) at every lattice momentum p = s0 q^m
-    (README, "Position spectrum").
+    The extension is the doubled X with a boundary condition that joins the
+    two sectors at p -> 0: in the parity combinations
+    e(+|-)_n = |n,+> (+|-) (-1)^n |n,->, each of which X maps into itself,
+    the even combinations keep the whole window while the odd ones vanish
+    at the innermost site n = -N, as the q-sine vanishes at p = 0.  Returns
+    (SpectrumReport, eigenvector matrix) without assembling the dense
+    operator: its even ladder is X_+ on the sites -N..N, its odd ladder X_+
+    on -N+1..N, and e(-)_(-N) is a null vector.  The two ladders
+    interlace, so the positive spectrum is simple and consecutive ratios
+    approach q itself.  The values sit on the grid +-q^(k+1/2) / (lambda s0),
+    lambda = q - 1/q: the x for which x p meets the asymptotic zeros of the
+    q-cosine and q-sine of the q-Fourier kernel E(-i x p) at every lattice
+    momentum p = s0 q^m (README, "Position spectrum").
 
     Truncation distortion spans a fixed number of lattice sites and this
     ladder has one positive value per site, twice as many as the block

@@ -10,7 +10,8 @@ defining relations are
 
 with conjugation T3^† = T3 and T+^† = q^(-2) T-, and the diagonal scaling
 operator tau = 1 - (q - 1/q) T3 = q^(-4m).  For q >= 1 every entry is real,
-and the floating representations store T3 and tau by their diagonals.
+and the floating representations store T3 by its diagonal and the weights
+m, from which tau and its powers are computed.
 """
 
 from __future__ import annotations
@@ -53,15 +54,14 @@ def _qn(n: int, r: int, q: float) -> float:
 
 @dataclass(frozen=True)
 class Suq2Rep:
-    """Real representation data on a weight basis: T3 and tau are the
-    diagonals, basis the magnetic label of each basis vector; j is None for
-    composite (tensor) spaces."""
+    """Real representation data on a weight basis: T3 is the diagonal,
+    basis the magnetic label of each basis vector; j is None for composite
+    (tensor) spaces."""
 
     q: float
     T3: np.ndarray
     Tplus: np.ndarray
     Tminus: np.ndarray
-    tau: np.ndarray
     basis: tuple[HalfInt, ...]
     j: HalfInt | None = None
 
@@ -69,17 +69,28 @@ class Suq2Rep:
     def dim(self) -> int:
         return len(self.T3)
 
+    @property
+    def tau(self) -> np.ndarray:
+        """The diagonal of tau = q^(-4m)."""
+        return _tau_power(self, 1.0)
+
+
+def _tau_power(rep: Suq2Rep, k: float) -> np.ndarray:
+    """The diagonal of tau^k, with tau = q^(-4m) read off the weights:
+    unlike 1 - (q - 1/q) T3 it does not cancel for m > 0.  build_rep's
+    q-numbers bound tau on a spin; a product's lowest weight can exceed it."""
+    try:
+        tau = np.array([rep.q ** (-2.0 * m.twice) for m in rep.basis])
+    except OverflowError:
+        raise ValueError(f"tau = q^(-4m) at m = {min(rep.basis)} overflows a double at "
+                         f"q = {rep.q}; use a smaller j") from None
+    return tau ** k
+
 
 def _breakdown(rep: Suq2Rep, what: str) -> DecompositionError:
     where = f"j = {rep.j}" if rep.j is not None else f"dimension {rep.dim}"
     return DecompositionError(f"{what} at q = {rep.q}, {where}: floating precision "
                               f"breaks down; use a smaller j or q")
-
-
-def _tau_half(rep: Suq2Rep) -> np.ndarray:
-    if np.any(rep.tau <= 0):
-        raise _breakdown(rep, "tau = 1 - (q - 1/q) T3 is not positive")
-    return np.sqrt(rep.tau)
 
 
 def build_rep(j, q: float) -> Suq2Rep:
@@ -92,30 +103,27 @@ def build_rep(j, q: float) -> Suq2Rep:
         raise ValueError("deformation parameter must be finite and satisfy q >= 1")
     basis = tuple(halfint_range_desc(j))
     dim = len(basis)
-    index = {m.twice: k for k, m in enumerate(basis)}
 
     T3 = np.zeros(dim)
     Tp = np.zeros((dim, dim))
     Tm = np.zeros((dim, dim))
     try:
-        for m in basis:
-            k = index[m.twice]
+        for k, m in enumerate(basis):  # descending: m + 1 sits at k - 1
             T3[k] = (1.0 / q) * _qn(m.twice, -2, q)
             jp_m = (j + m).as_int()
             jm_m = (j - m).as_int()
             if m.twice < j.twice:  # raising entry m -> m+1
                 rad = _qn(jp_m + 1, -2, q) * _qn(jm_m, 2, q)
                 assert rad >= 0.0, "negative radicand cannot occur for q >= 1"
-                Tp[index[m.twice + 2], k] = (1.0 / q) * sqrt(rad)
+                Tp[k - 1, k] = (1.0 / q) * sqrt(rad)
             if m.twice > -j.twice:  # lowering entry m -> m-1
                 rad = _qn(jp_m, -2, q) * _qn(jm_m + 1, 2, q)
                 assert rad >= 0.0, "negative radicand cannot occur for q >= 1"
-                Tm[index[m.twice - 2], k] = q * sqrt(rad)
+                Tm[k + 1, k] = q * sqrt(rad)
     except OverflowError:
         raise ValueError(f"the q-numbers of spin j = {j} overflow a double at q = {q}; "
                          f"use a smaller j") from None
-    tau = 1.0 - (q - 1.0 / q) * T3
-    return Suq2Rep(q=q, T3=T3, Tplus=Tp, Tminus=Tm, tau=tau, basis=basis, j=j)
+    return Suq2Rep(q=q, T3=T3, Tplus=Tp, Tminus=Tm, basis=basis, j=j)
 
 
 # ---------------------------------------------------------------------------
@@ -143,31 +151,23 @@ def build_rep_exact(j) -> Suq2RepExact:
     j = HalfInt.coerce(j)
     basis = halfint_range_desc(j)
     dim = len(basis)
-    index = {m.twice: k for k, m in enumerate(basis)}
     T3 = [[QExact.zero() for _ in range(dim)] for _ in range(dim)]
     Tp = [[QExact.zero() for _ in range(dim)] for _ in range(dim)]
     Tm = [[QExact.zero() for _ in range(dim)] for _ in range(dim)]
     qinv = QExact.q_power(-1)
     qpow = QExact.q_power(1)
-    for m in basis:
-        k = index[m.twice]
+    for k, m in enumerate(basis):  # descending: m + 1 sits at k - 1
         T3[k][k] = qinv * q_number(m.twice, -2)
         jp_m = (j + m).as_int()
         jm_m = (j - m).as_int()
         if m.twice < j.twice:
             rad = q_number(jp_m + 1, -2) * q_number(jm_m, 2)
-            Tp[index[m.twice + 2]][k] = qinv * rad.sqrt_monomial()
+            Tp[k - 1][k] = qinv * rad.sqrt_monomial()
         if m.twice > -j.twice:
             rad = q_number(jp_m, -2) * q_number(jm_m + 1, 2)
-            Tm[index[m.twice - 2]][k] = qpow * rad.sqrt_monomial()
-    lam = QExact.lam()
-    tau = [
-        [
-            (QExact.one() if i == k else QExact.zero()) - lam * T3[i][k]
-            for k in range(dim)
-        ]
-        for i in range(dim)
-    ]
+            Tm[k + 1][k] = qpow * rad.sqrt_monomial()
+    tau = [[QExact.q_power(-2 * m.twice) if i == k else QExact.zero()
+            for k in range(dim)] for i, m in enumerate(basis)]
     return Suq2RepExact(T3=xm.mat(T3), Tplus=xm.mat(Tp), Tminus=xm.mat(Tm),
                         tau=xm.mat(tau), j=j)
 
@@ -245,9 +245,9 @@ def casimir_matrix(rep: Suq2Rep) -> np.ndarray:
             "Casimir construction needs q > 1 (the deformation scale vanishes)"
         )
     lam = q - 1.0 / q
-    th = _tau_half(rep)
-    C = q ** 2 * (rep.Tminus @ rep.Tplus + np.eye(rep.dim) / lam ** 2) * (1.0 / th)
-    C[np.diag_indices(rep.dim)] += (1.0 / lam ** 2) * th
+    C = q ** 2 * (rep.Tminus @ rep.Tplus + np.eye(rep.dim) / lam ** 2)
+    C *= _tau_power(rep, -0.5)
+    C[np.diag_indices(rep.dim)] += (1.0 / lam ** 2) * _tau_power(rep, 0.5)
     C[np.diag_indices(rep.dim)] -= (1.0 + q ** 2) / lam ** 2
     return C
 
@@ -265,19 +265,18 @@ def casimir_commutation_residuals(rep: Suq2Rep) -> tuple[float, float, float]:
 
 def coproduct(a: Suq2Rep, b: Suq2Rep) -> Suq2Rep:
     """Tensor representation: T3 -> T3 x 1 + tau x T3, and the ladder
-    operators pick up tau^(1/2) on the left slot; tau multiplies.  The
-    weights add, m1 + m2 in kron order, and T3 depends on their sum alone:
-    T3(m1) + q^(-4 m1) T3(m2) = T3(m1 + m2)."""
+    operators pick up tau^(1/2) on the left slot.  The weights add,
+    m1 + m2 in kron order, so tau multiplies, and T3 depends on their sum
+    alone: T3(m1) + q^(-4 m1) T3(m2) = T3(m1 + m2)."""
     if a.q != b.q:
         raise ValueError("tensor factors must share the deformation parameter")
     ib = np.eye(b.dim)
-    tha = np.diag(_tau_half(a))
+    tha = np.diag(_tau_power(a, 0.5))
     T3 = (a.T3[:, None] + a.tau[:, None] * b.T3).ravel()
     Tp = np.kron(a.Tplus, ib) + np.kron(tha, b.Tplus)
     Tm = np.kron(a.Tminus, ib) + np.kron(tha, b.Tminus)
-    tau = np.kron(a.tau, b.tau)
     basis = tuple(ma + mb for ma in a.basis for mb in b.basis)
-    return Suq2Rep(q=a.q, T3=T3, Tplus=Tp, Tminus=Tm, tau=tau, basis=basis)
+    return Suq2Rep(q=a.q, T3=T3, Tplus=Tp, Tminus=Tm, basis=basis)
 
 
 # ---------------------------------------------------------------------------
@@ -382,8 +381,7 @@ def from_su2_embedding(j, q: float) -> tuple[Suq2Rep, EmbeddingReport]:
     Tp = f[:, None] * jp
     T3 = (1.0 - q ** (-4.0 * m_vals)) / lam
     Tm = q ** 2 * Tp.T
-    tau = 1.0 - lam * T3
-    rep = Suq2Rep(q=q, T3=T3, Tplus=Tp, Tminus=Tm, tau=tau, basis=basis, j=j)
+    rep = Suq2Rep(q=q, T3=T3, Tplus=Tp, Tminus=Tm, basis=basis, j=j)
 
     comm = jp @ jm - jm @ jp - j0
     cas = 2.0 * (jm @ jp) + j0 @ (j0 + np.eye(dim)) - jf * (jf + 1.0) * np.eye(dim)

@@ -77,12 +77,10 @@ def test_layer_summary_takes_each_sides_median_over_the_layers_either_used():
     layers = bench_pairs.layer_summary(parent, change)
     assert set(layers) == {"qphase.relation_residuals.busy_s",
                            "classical.compare_closed_form.busy_s", "suq2.dim_total"}
-    classical = layers["classical.compare_closed_form.busy_s"]
-    assert {k: classical[k] for k in ("parent", "change", "relative_change")} == {
+    # two traced runs per side give medians and no verdict; the untraced
+    # per-op quartiles judge the change
+    assert layers["classical.compare_closed_form.busy_s"] == {
         "parent": 1.2, "change": 0.6, "relative_change": -0.5}
-    # the larger side's range, 1.4 - 1.0, is below the 0.6 change
-    assert classical["spread"] == pytest.approx(0.4)
-    assert classical["verdict"] == "resolved"
     assert layers["qphase.relation_residuals.busy_s"]["relative_change"] == (0.003 - 0.13) / 0.13
     # a layer only the change calls has no relative change
     assert layers["suq2.dim_total"]["relative_change"] is None
@@ -97,12 +95,16 @@ def test_layer_whose_spread_exceeds_its_change_is_unresolved():
               {"classical.compare_closed_form.busy_s": 0.57, "suq2.dim_total": 410.0}]
     layers = bench_pairs.layer_summary(parent, change)
     layer = layers["classical.compare_closed_form.busy_s"]
-    assert layer["spread"] == pytest.approx(0.15)
-    assert abs(layer["change"] - layer["parent"]) < layer["spread"]
-    assert layer["verdict"] == "unresolved"
-    # a count both sides read alike has neither spread nor change
-    assert layers["suq2.dim_total"]["spread"] == 0.0
-    assert layers["suq2.dim_total"]["verdict"] == "resolved"
+    assert layer["relative_change"] == pytest.approx((0.51 - 0.625) / 0.625)
+    # the layer carries no verdict, so the move is never read as resolved ...
+    assert set(layer) == {"parent", "change", "relative_change"}
+    assert layers["suq2.dim_total"]["relative_change"] == 0.0
+    # ... and untraced runs of the op as spread as the traced ones (parent
+    # IQR 0.15 against a 0.115 move of the medians) leave it unresolved
+    op = bench_pairs.ops_summary(_op_runs({"op": [0.48, 0.55, 0.625, 0.70, 0.75]}),
+                                 _op_runs({"op": [0.40, 0.45, 0.51, 0.57, 0.62]}))["op"]
+    assert op["parent_iqr"] > abs(op["change"]["median"] - op["parent"]["median"])
+    assert op["verdict"] == "unresolved"
 
 
 def _op_runs(times: dict[str, list[float]]) -> list[dict]:

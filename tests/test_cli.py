@@ -104,6 +104,13 @@ def test_rep_overflow_asks_for_a_smaller_j(capsys):
     assert "j = 200" in err and "use a smaller j" in err
 
 
+def test_tensor_weight_overflow_asks_for_a_smaller_j(capsys):
+    # each factor passes build_rep's guard, the product's weight -155/2 does not
+    code, out, err = run(capsys, "tensor", "--j", "77", "--j2", "0.5", "--q", "10")
+    assert code == 2 and out == ""
+    assert "m = -155/2 overflows a double at q = 10.0; use a smaller j" in err
+
+
 @pytest.mark.parametrize("j, q", [("12", "1.5"), ("5", "3")])
 def test_rep_decomposes_where_casimir_clusters_split(capsys, j, q):
     # the eigenvalues spread by a few 1e-8 relative: the spin comes from the
@@ -114,10 +121,21 @@ def test_rep_decomposes_where_casimir_clusters_split(capsys, j, q):
     assert [(b["j"], b["multiplicity"]) for b in decomposition] == [(float(j), 1)]
 
 
+@pytest.mark.parametrize("j, q", [("11.5", "3"), ("3", "10")])
+def test_rep_decomposes_where_tau_used_to_cancel(capsys, j, q):
+    # 1 - (q - 1/q) T3 lost tau for m > 0; q^(-4m) from the weights keeps it
+    code, out, _ = run(capsys, "rep", "--j", j, "--q", q, "--json")
+    assert code == 0
+    decomposition = json.loads(out)["decomposition"]
+    assert [(b["j"], b["multiplicity"]) for b in decomposition] == [(float(j), 1)]
+
+
+# eps * max|C| of these products' Casimirs exceeds the 1e-6 within which
+# the spin-0 eigenvalue must read c_0 = 0
 @pytest.mark.parametrize("argv, where", [
-    (["rep", "--j", "11.5", "--q", "3"], "q = 3.0, j = 23/2"),    # tau not positive
-    (["rep", "--j", "3", "--q", "10"], "q = 10.0, j = 3"),        # off the closed form
-    (["tensor", "--j", "5", "--q", "3"], "q = 3.0, dimension 121"),  # C not symmetric
+    (["tensor", "--j", "4", "--q", "10"], "q = 10.0, dimension 81"),
+    (["tensor", "--j", "6", "--q", "5"], "q = 5.0, dimension 169"),
+    (["tensor", "--j", "8", "--q", "3"], "q = 3.0, dimension 289"),
 ])
 def test_suq2_precision_breakdown_exits_one(capsys, argv, where):
     code, out, err = run(capsys, *argv)
@@ -414,6 +432,20 @@ def test_tolerance_must_be_finite_and_positive(capsys, argv, tol):
     code, out, err = run(capsys, *argv, "--tol", tol)
     assert code == 2 and out == ""
     assert "argument --tol: must be a finite number > 0" in err
+
+
+@pytest.mark.parametrize("argv", [
+    ("qnum", "--n", "2", "--r", "2", "--symbolic", "--csv"),
+    ("qnum", "--n", "2", "--r", "2", "--symbolic", "--tol", "1e-9"),
+    ("rep", "--j", "1", "--q", "1.5", "--csv"),
+    ("tensor", "--j", "0.5", "--q", "1.2", "--csv"),
+    ("plane", "normalize", "--expr", "y*x", "--csv"),
+    ("plane", "flatness", "--tol", "1e-9"),
+])
+def test_flags_a_command_ignores_are_usage_errors(capsys, argv):
+    code, out, err = run(capsys, *argv)
+    assert code == 2 and out == ""
+    assert "unrecognized arguments" in err
 
 
 def test_unknown_command_is_usage_error(capsys):

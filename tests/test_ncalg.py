@@ -105,6 +105,18 @@ def test_presentation_rejects_too_many_generators():
         Presentation(generators=tuple(f"g{k}" for k in range(257)), rules={})
 
 
+@pytest.mark.parametrize("letter", [5, -1])
+@pytest.mark.parametrize("rewrite", [normal_form, all_normal_forms])
+def test_raw_word_letters_must_index_generators(rewrite, letter):
+    with pytest.raises(PresentationError, match=f"letter {letter} .* has 2 generators"):
+        rewrite(manin, (0, letter))
+
+
+def test_raw_words_of_a_mapping_are_checked():
+    with pytest.raises(PresentationError, match="letter 2 "):
+        normal_form(manin, {(1, 0): QExact.one(), (2,): QExact.one()})
+
+
 def test_presentation_rejects_degree_raising_rule():
     with pytest.raises(PresentationError):
         Presentation(

@@ -20,12 +20,11 @@ from qdeform.qphase import (
     phase_report,
     reconstruct_pxlambda,
     relation_residuals,
-    sector_coupled_x,
     spectral_factor,
     x_eigensystem,
     x_extension_eigensystem,
 )
-from qdeform.qphase import _sector_p
+from qdeform.qphase import _require_doubled, _sector_p
 
 # ---------------------------------------------------------------------------
 # frozen oracles (hand-computed from the matrix-element formulas)
@@ -74,6 +73,42 @@ def _dense(rep: PhaseRep) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
             M[at, at] = block if sigma > 0 else 0.0 - block
         out[2][at, at] = U
     return out
+
+
+def sector_coupled_x(rep: PhaseRep) -> np.ndarray:
+    """The dense oracle of `x_extension_eigensystem`: the doubled X with a
+    sector-coupling boundary condition at n = -N.
+
+    A finite-window realization of a boundary condition that joins the two
+    sectors at p -> 0.  In the parity combinations
+    e(+|-)_n = |n,+> (+|-) (-1)^n |n,->, each of which X maps into itself,
+    the even combinations keep the whole window while the odd ones vanish
+    at the innermost site n = -N, as the q-sine vanishes at p = 0.  With
+    b = X[(-N,+), (-N+1,+)] this halves the four intra-sector bond entries
+    between n = -N and n = -N+1 and adds the hermitean cross entries
+    (-1)^(N-1) b/2 at ((-N,+), (-N+1,-)) and (-1)^N b/2 at
+    ((-N,-), (-N+1,+)).  Every changed entry has a row or column at n = -N,
+    so the interior is bit-identical to the block-diagonal doubled X, which
+    is X_+ on the plus sector and -X_+ on the minus sector.
+    """
+    _require_doubled(rep)
+    N = rep.params.N
+    d = 2 * N + 1
+    plus, minus = 0, d          # indices of (-N,+) and (-N,-)
+    col = np.concatenate([np.arange(1, d), np.arange(d + 1, 2 * d)])  # no bond joins the sectors
+    bonds = np.concatenate([rep.X, 0.0 - rep.X])
+    X = np.zeros((2 * d, 2 * d), dtype=complex)
+    X.imag[col - 1, col] = bonds
+    X.imag[col, col - 1] = 0.0 - bonds
+    b = X[plus, plus + 1]
+    for i in (plus, minus):
+        X[i, i + 1] /= 2.0
+        X[i + 1, i] /= 2.0
+    X[plus, minus + 1] = (-1) ** (N - 1) * b / 2.0
+    X[minus, plus + 1] = (-1) ** N * b / 2.0
+    X[minus + 1, plus] = np.conj(X[plus, minus + 1])
+    X[plus + 1, minus] = np.conj(X[minus, plus + 1])
+    return X
 
 
 # ---------------------------------------------------------------------------

@@ -5,7 +5,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from qdeform import exactmat as xm
+from qdeform import exactmat as xm, suq2
 from qdeform.scalars import HalfInt, QExact
 from qdeform.suq2 import (
     DecompositionError,
@@ -26,6 +26,7 @@ from qdeform.suq2 import (
     rep_report,
     spinor_exact,
 )
+from qdeform.suq2 import _tau_power
 
 JS = [Fraction(1, 2), 1, Fraction(3, 2), 2]
 QS = [1.1, 1.5]
@@ -237,6 +238,45 @@ def test_five_tensor_five_gives_each_spin_once():
         assert abs(ev - cj) <= 1e-6 * max(1.0, abs(cj))
 
 
+def _five_tensor_five_at_q3():
+    # lambda T3 = 1 - q^(-4m) carries tau only to absolute accuracy; the
+    # Casimir of the product inherits that unless tau comes from the weights
+    a = build_rep(5, 3.0)
+    product = coproduct(a, a)
+    C = casimir_matrix(product)
+    assert np.max(np.abs(C - C.T)) <= 1e-15 * np.max(np.abs(C))
+    dec = casimir_decompose(product)
+    assert [(float(j), mult) for j, mult, _ in dec.entries] == [(k, 1) for k in range(11)]
+
+
+def test_five_tensor_five_at_q3_decomposes():
+    _five_tensor_five_at_q3()
+
+
+def test_tau_from_t3_breaks_five_tensor_five_at_q3(monkeypatch):
+    def tau_power_from_t3(rep, k):
+        return (1.0 - (rep.q - 1.0 / rep.q) * rep.T3) ** k
+
+    monkeypatch.setattr(suq2, "_tau_power", tau_power_from_t3)
+    # at m = 10, 1 - lambda T3 ~ q^(-40) drowns in its rounding and can turn
+    # negative, which leaves nan in the Casimir
+    with np.errstate(invalid="ignore", divide="ignore"), \
+            pytest.raises((AssertionError, DecompositionError)):
+        _five_tensor_five_at_q3()
+
+
+@pytest.mark.parametrize("q, j_max", [(3.0, Fraction(323, 2)), (10.0, 77)])
+def test_tau_powers_finite_at_the_largest_spin(q, j_max):
+    # tau^(-1/2) = q^(2m) and tau = q^(-4m) peak at q^(2j) and q^(4j) for
+    # m = -j, within the q-numbers that build_rep already computes
+    rep = build_rep(j_max, q)
+    for k in (1.0, 0.5, -0.5):
+        power = _tau_power(rep, k)
+        assert np.all(np.isfinite(power)) and np.all(power > 0)
+    with pytest.raises(ValueError, match="use a smaller j"):
+        build_rep(j_max + Fraction(1, 2), q)
+
+
 def test_negative_multiplicity_from_weights_is_refused():
     # the weight counts of (1, 1, 0, -1, -1) account for all 5 dimensions
     # (2 x spin 1, -1 x spin 0), but spin 0 gets #(m=0) - #(m=1) = -1
@@ -245,7 +285,7 @@ def test_negative_multiplicity_from_weights_is_refused():
     basis = tuple(HalfInt(t) for t in (2, 2, 0, -2, -2))
     T3 = np.array([(1 - q ** (-4 * float(m))) / lam for m in basis])
     zero = np.zeros((5, 5))
-    rep = Suq2Rep(q=q, T3=T3, Tplus=zero, Tminus=zero, tau=1 - lam * T3, basis=basis)
+    rep = Suq2Rep(q=q, T3=T3, Tplus=zero, Tminus=zero, basis=basis)
     with pytest.raises(DecompositionError, match="not those of a sum of irreducibles"):
         casimir_decompose(rep)
 
