@@ -348,6 +348,14 @@ def _tolerance(text: str) -> float:
     return value
 
 
+# the modes of `phase` and `classical` that read --csv and --tol; the others
+# refuse them, since argparse registers flags per command, not per mode
+_MODE_FLAGS = {
+    "phase": {"csv": ("xspec", "spectrum"), "tol": ("rep", "reconstruct")},
+    "classical": {"csv": ("traj",), "tol": ("traj", "verify")},
+}
+
+
 def _add_common_output(parser: argparse.ArgumentParser, csv: bool = False,
                        tol: bool = False):
     """--json and --out everywhere; --csv and --tol where the handler reads them."""
@@ -430,6 +438,10 @@ def main(argv=None) -> int:
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return int(exc.code or 0)
+    for flag, modes in _MODE_FLAGS.get(args.command, {}).items():
+        if getattr(args, flag) and args.mode not in modes:
+            return _fail(f"--{flag} applies only to {args.command} "
+                         f"{' and '.join(modes)}, not {args.mode}", 2)
     out = _Output(getattr(args, "out", None))
     try:
         code = args.handler(args, out)

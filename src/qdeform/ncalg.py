@@ -3,16 +3,20 @@
 A Presentation fixes an ordered generator list and, for out-of-order adjacent
 generator pairs, a rewrite target that is a combination of normal-ordered
 monomials of degree <= 2 plus an optional constant.  Rewriting never raises
-degree.  `normal_form_words` rewrites the largest pending word first in
-deglex order (longer words first, then lexicographically later ones), always
-at its leftmost out-of-order pair.  When every rule target is smaller than
-the pair it replaces, as in Bergman's diamond lemma, each word is then
-rewritten once, carrying the sum of every coefficient that reaches it; a
-step budget guards presentations whose rules do not decrease.  The flatness
-scan eliminates the one-step rewrite equations with one division-free
-routine, twice: at a generic rational point to decide monomial counts and
-discover relations, then once over the exact scalar ring to re-verify every
-discovered relation symbolically.
+degree.  Inside this module a word is `bytes`, one letter per generator
+index; public entry points convert tuple words once.  The kernel, the
+all-orders oracle and the flatness scan find out-of-order pairs with one
+descent finder, `_descent`, and read their targets from one rule table,
+`Presentation._targets`, through `Presentation._rule`.  `normal_form_words`
+rewrites the largest pending word first in deglex order (longer words first,
+then lexicographically later ones), always at its leftmost out-of-order pair.
+When every rule target is smaller than the pair it replaces, as in Bergman's
+diamond lemma, each word is then rewritten once, carrying the sum of every
+coefficient that reaches it; a step budget guards presentations whose rules
+do not decrease.  The flatness scan eliminates the one-step rewrite equations
+with one division-free routine, twice: at a generic rational point to decide
+monomial counts and discover relations, then once over the exact scalar ring
+to re-verify every discovered relation symbolically.
 """
 
 from __future__ import annotations
@@ -32,7 +36,7 @@ DEFAULT_BRANCH_BUDGET = 20_000
 # generic rational evaluation point for rank decisions: s = 7/5, q = 49/25
 GENERIC_S = Fraction(7, 5)
 
-# the rewriting kernel stores words as bytes, one letter per generator index
+# words are bytes, one letter per generator index
 MAX_GENERATORS = 256
 # reverses byte order, so that a min-heap pops lexicographically later first
 _COMPLEMENT = bytes(range(255, -1, -1))
@@ -51,25 +55,29 @@ class DivergedError(RuntimeError):
 
 
 ExpVec = tuple[int, ...]
-Word = tuple[int, ...]
 
 
-def _expand(expvec: ExpVec) -> Word:
-    word: list[int] = []
-    for g, e in enumerate(expvec):
-        word.extend([g] * e)
-    return tuple(word)
+def _expand(expvec: ExpVec) -> bytes:
+    return b"".join([bytes((g,)) * e for g, e in enumerate(expvec) if e])
 
 
-def _word_expvec(word: Word, arity: int) -> ExpVec:
+def _word_expvec(word: bytes, arity: int) -> ExpVec:
     ev = [0] * arity
     for g in word:
         ev[g] += 1
     return tuple(ev)
 
 
-def _is_normal(word: Word) -> bool:
-    return all(word[k] <= word[k + 1] for k in range(len(word) - 1))
+def _descent(word: bytes, start: int = 0):
+    """The leftmost out-of-order pair word[k] > word[k + 1] with k >= start, or None."""
+    for k in range(start, len(word) - 1):
+        if word[k] > word[k + 1]:
+            return k
+    return None
+
+
+def _frozen(terms: Mapping[ExpVec, QExact]) -> tuple:
+    return tuple(sorted((ev, c.freeze()) for ev, c in terms.items()))
 
 
 @dataclass(frozen=True)
@@ -79,8 +87,8 @@ class Presentation:
     rules maps (left_gen, right_gen) with left_gen > right_gen to a tuple of
     (exponent vector, exact coefficient) targets.  generators[:n_coords] are
     coordinate symbols; the rest are operator symbols (used by the derivative
-    action to encode "operator acting on 1 gives 0").  The rewriting kernel
-    reads the rules from `_targets`: pair word -> ((target word,
+    action to encode "operator acting on 1 gives 0").  Rewriting reads the
+    rules only from `_targets`, through `_rule`: pair word -> ((target word,
     coefficient or None for 1), ...), every word in bytes.
     """
 
@@ -134,13 +142,12 @@ class Presentation:
                 f"unknown generator {name!r}; have {', '.join(self.generators)}"
             ) from None
 
-    def rule_for(self, left: int, right: int):
-        if left <= right:
-            return None
+    def _rule(self, pair: bytes):
+        """The `_targets` entry of an out-of-order pair word, or MissingRuleError."""
         try:
-            return self.rules[(left, right)]
+            return self._targets[pair]
         except KeyError:
-            gl, gr = self.generators[left], self.generators[right]
+            gl, gr = self.generators[pair[0]], self.generators[pair[1]]
             raise MissingRuleError(
                 f"no reordering rule for {gl}*{gr} in presentation {self.name!r}"
             ) from None
@@ -160,16 +167,9 @@ class Presentation:
         return NCPoly(self, {(0,) * self.arity: QExact._coerce(value)})
 
 
-def _leftmost_descent(word: bytes):
-    for k in range(len(word) - 1):
-        if word[k] > word[k + 1]:
-            return k
-    return None
-
-
 def normal_form_words(
     pres: Presentation,
-    word_terms: Mapping[Word, QExact],
+    word_terms: Mapping[bytes, QExact],
     budget: int = DEFAULT_STEP_BUDGET,
 ) -> "NCPoly":
     """Rewrite a combination of raw words to its normal form.
@@ -183,14 +183,13 @@ def normal_form_words(
     reached.  Otherwise a word can come back, and more than `budget` steps
     raise DivergedError.
     """
-    targets = pres._targets
+    rule_of = pres._rule
     arity = pres.arity
     result: dict[ExpVec, QExact] = {}
     pending: dict[bytes, QExact] = {}
     heap: list = []
     for w, c in word_terms.items():
         c = QExact._coerce(c)
-        w = bytes(w)
         acc = pending.get(w)
         if acc is None:
             pending[w] = c
@@ -203,7 +202,7 @@ def normal_form_words(
         coeff = pending.pop(word)
         if coeff.is_zero():
             continue
-        pos = _leftmost_descent(word)
+        pos = _descent(word)
         if pos is None:
             ev = _word_expvec(word, arity)
             acc = result.get(ev)
@@ -219,11 +218,8 @@ def normal_form_words(
                 f"rewrite budget of {budget} steps exceeded "
                 f"(presentation {pres.name!r} is not terminating here)"
             )
-        rule = targets.get(word[pos:pos + 2])
-        if rule is None:
-            pres.rule_for(word[pos], word[pos + 1])  # raises MissingRuleError
         head, tail = word[:pos], word[pos + 2:]
-        for target, c in rule:
+        for target, c in rule_of(word[pos:pos + 2]):
             nw = head + target + tail
             term = coeff if c is None else coeff * c
             acc = pending.get(nw)
@@ -235,7 +231,7 @@ def normal_form_words(
     return NCPoly(pres, result)
 
 
-def _check_letters(pres: Presentation, word: Word) -> None:
+def _check_letters(pres: Presentation, word: tuple[int, ...]) -> None:
     """Refuse a raw word with a letter that indexes no generator."""
     k = pres.arity
     for g in word:
@@ -258,7 +254,7 @@ def normal_form(pres: Presentation, value, budget: int = DEFAULT_STEP_BUDGET) ->
         raise TypeError(f"cannot normalize {value!r}")
     for word in value:
         _check_letters(pres, word)
-    return normal_form_words(pres, value, budget)
+    return normal_form_words(pres, {bytes(w): c for w, c in value.items()}, budget)
 
 
 class NCPoly:
@@ -316,7 +312,7 @@ class NCPoly:
         if not isinstance(other, NCPoly):
             return self.scale(other)
         self._check_same(other)
-        words: dict[Word, QExact] = {}
+        words: dict[bytes, QExact] = {}
         for ev1, c1 in self.terms.items():
             w1 = _expand(ev1)
             for ev2, c2 in other.terms.items():
@@ -350,7 +346,7 @@ class NCPoly:
         return hash(self.freeze())
 
     def freeze(self):
-        return tuple(sorted((ev, c.freeze()) for ev, c in self.terms.items()))
+        return _frozen(self.terms)
 
     # -- predicates and views ---------------------------------------------
 
@@ -428,19 +424,19 @@ def check_identity(lhs: NCPoly, rhs: NCPoly) -> bool:
 
 
 def all_normal_forms(
-    pres: Presentation, word: Word, budget: int = DEFAULT_BRANCH_BUDGET
+    pres: Presentation, word: tuple[int, ...], budget: int = DEFAULT_BRANCH_BUDGET
 ) -> set:
     """All normal forms reachable from a word under every rewrite order.
 
-    Returns a set of frozen polynomials (NCPoly.freeze images).  A cyclic
+    Returns a set of frozen polynomials, as NCPoly.freeze gives them.  A cyclic
     rewrite dependency or a combinatorial blowup raises DivergedError.
     """
-    word = tuple(word)
     _check_letters(pres, word)
     arity = pres.arity
+    one = QExact.one()
     # memo values: tuple of term dicts (one per reachable normal form)
-    memo: dict[Word, tuple[dict, ...]] = {}
-    active: set[Word] = set()
+    memo: dict[bytes, tuple[dict, ...]] = {}
+    active: set[bytes] = set()
     counter = [0]
 
     def _add_into(out: dict, terms: dict, coeff: QExact) -> None:
@@ -452,30 +448,26 @@ def all_normal_forms(
             else:
                 out[ev] = acc
 
-    def _freeze(d: dict):
-        return tuple(sorted((ev, c.freeze()) for ev, c in d.items()))
-
-    def anf(w: Word) -> tuple[dict, ...]:
+    def anf(w: bytes) -> tuple[dict, ...]:
         if w in memo:
             return memo[w]
         if w in active:
             raise DivergedError(
                 f"cyclic rewriting reachable from a word in {pres.name!r}"
             )
-        positions = [k for k in range(len(w) - 1) if w[k] > w[k + 1]]
-        if not positions:
-            res = ({_word_expvec(w, arity): QExact.one()},)
+        pos = _descent(w)
+        if pos is None:
+            res = ({_word_expvec(w, arity): one},)
             memo[w] = res
             return res
         active.add(w)
         seen: set = set()
         results: list[dict] = []
-        for pos in positions:
-            targets = pres.rule_for(w[pos], w[pos + 1])
+        while pos is not None:
             head, tail = w[:pos], w[pos + 2:]
             combos: list[dict] = [{}]
-            for ev, c in targets:
-                children = anf(head + _expand(ev) + tail)
+            for target, c in pres._rule(w[pos:pos + 2]):
+                children = anf(head + target + tail)
                 new_combos = []
                 for base in combos:
                     for child in children:
@@ -486,20 +478,21 @@ def all_normal_forms(
                                 "enumerating rewrite orders"
                             )
                         merged = dict(base)
-                        _add_into(merged, child, c)
+                        _add_into(merged, child, one if c is None else c)
                         new_combos.append(merged)
                 combos = new_combos
             for d in combos:
-                key = _freeze(d)
+                key = _frozen(d)
                 if key not in seen:
                     seen.add(key)
                     results.append(d)
+            pos = _descent(w, pos + 1)
         active.discard(w)
         res = tuple(results)
         memo[w] = res
         return res
 
-    return {_freeze(d) for d in anf(word)}
+    return {_frozen(d) for d in anf(bytes(word))}
 
 
 # ---------------------------------------------------------------------------
@@ -520,9 +513,8 @@ def derivative_apply(d_symbol: str, poly: NCPoly) -> NCPoly:
         )
     if not poly.supported_on_coords():
         raise PresentationError("polynomial must contain coordinate symbols only")
-    words: dict[Word, QExact] = {}
-    for ev, c in poly.terms.items():
-        words[(d_idx,) + _expand(ev)] = c
+    d_letter = bytes((d_idx,))
+    words = {d_letter + _expand(ev): c for ev, c in poly.terms.items()}
     pushed = normal_form_words(pres, words)
     nc = pres.n_coords
     kept = {
@@ -553,33 +545,31 @@ class FlatnessReport:
         return tuple(r.degree() for r in self.relations)
 
 
-def _one_step_rows(pres: Presentation, words: list[Word]):
+def _one_step_rows(pres: Presentation, words: list[bytes]):
     """One-step rewrite equations word - image = 0, as sparse rows."""
     one = QExact.one()
-    images: dict = {}  # out-of-order pair -> ((target word, -coefficient), ...)
+    # negate each distinct rule coefficient once, so that the rows share them
+    negated = {None: -one}
     rows = []
     for w in words:
-        for pos in range(len(w) - 1):
-            pair = w[pos], w[pos + 1]
-            if pair[0] <= pair[1]:
-                continue
-            image = images.get(pair)
-            if image is None:
-                image = images[pair] = tuple(
-                    (_expand(ev), -c) for ev, c in pres.rule_for(*pair)
-                )
-            row: dict[Word, QExact] = {w: one}
+        pos = _descent(w)
+        while pos is not None:
+            # a target is normal and the pair is not, so no image word is w
+            row: dict[bytes, QExact] = {w: one}
             head, tail = w[:pos], w[pos + 2:]
-            for target, neg_c in image:
+            for target, c in pres._rule(w[pos:pos + 2]):
                 nw = head + target + tail
+                neg_c = negated.get(c)
+                if neg_c is None:
+                    neg_c = negated[c] = -c
                 acc = row.get(nw)
                 acc = neg_c if acc is None else acc + neg_c
                 if acc.is_zero():
                     row.pop(nw, None)
                 else:
                     row[nw] = acc
-            if row:
-                rows.append(row)
+            rows.append(row)
+            pos = _descent(w, pos + 1)
     return rows
 
 
@@ -629,15 +619,15 @@ def _echelon(rows, order: dict, pivots: dict) -> dict:
     return pivots
 
 
-def _column_order(pres: Presentation, words: list[Word]) -> dict:
-    arity = pres.arity
-    non_normal = sorted((w for w in words if not _is_normal(w)), key=lambda w: (len(w), w))
-    normal = sorted(
-        (w for w in words if _is_normal(w)),
-        key=lambda w: (len(w), _word_expvec(w, arity)),
-        reverse=True,
-    )
-    return {w: k for k, w in enumerate(non_normal + normal)}
+def _column_order(words: list[bytes], normal: set[bytes]) -> dict:
+    """Non-normal words shortest first, then normal words longest first.
+
+    Among normal words of one length, ascending words have descending
+    exponent vectors.
+    """
+    first = sorted((w for w in words if w not in normal), key=lambda w: (len(w), w))
+    last = sorted(normal, key=lambda w: (-len(w), w))
+    return {w: k for k, w in enumerate(first + last)}
 
 
 def flatness_scan(pres: Presentation, max_degree: int) -> FlatnessReport:
@@ -666,6 +656,8 @@ def flatness_scan(pres: Presentation, max_degree: int) -> FlatnessReport:
     """
     if max_degree > 8:
         raise PresentationError("flatness scan supports max_degree <= 8")
+    if max_degree < 0:
+        raise PresentationError(f"flatness scan needs max_degree >= 0, got {max_degree}")
     k = pres.arity
     total = sum(k ** d for d in range(max_degree + 1))
     if total > WORD_BUDGET:
@@ -674,13 +666,15 @@ def flatness_scan(pres: Presentation, max_degree: int) -> FlatnessReport:
             f"over {k} generators (budget {WORD_BUDGET})"
         )
 
-    words: list[Word] = [()]
-    frontier: list[Word] = [()]
+    letters = [bytes((g,)) for g in range(k)]
+    words = [b""]
+    frontier = [b""]
     for _ in range(max_degree):
-        frontier = [w + (g,) for w in frontier for g in range(k)]
+        frontier = [w + g for w in frontier for g in letters]
         words.extend(frontier)
 
-    order = _column_order(pres, words)
+    normal = {w for w in words if _descent(w) is None}
+    order = _column_order(words, normal)
     rows = _one_step_rows(pres, words)
     # the rows hold few distinct coefficients: evaluate each one once
     values: dict = {}
@@ -696,8 +690,8 @@ def flatness_scan(pres: Presentation, max_degree: int) -> FlatnessReport:
         order,
         {},
     )
-    leads = sorted((col for col in generic if _is_normal(col)), key=order.__getitem__)
-    if any(not _is_normal(w) for col in leads for w in generic[col]):
+    leads = sorted((col for col in generic if col in normal), key=order.__getitem__)
+    if any(w not in normal for col in leads for w in generic[col]):
         # cannot happen given the column ordering; guard anyway
         raise DivergedError("relation row touches non-normal columns")
 

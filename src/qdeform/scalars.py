@@ -658,10 +658,10 @@ def q_number_value(n, r: int, q: float) -> float:
         raise QExactError("q-number base r must be nonzero")
     if not (q > 0.0 and isfinite(q)):
         raise ValueError(f"q-number evaluation needs a finite q > 0, got q = {q}")
-    if q == 1.0:
-        return float(n)
-    nf = float(n)
     try:
+        nf = float(n)
+        if q == 1.0:
+            return nf
         return (1.0 - q ** (r * nf)) / (1.0 - q ** r)
     except OverflowError:
         raise ValueError(f"[{n}]_{r} overflows a double at q = {q}: q^(r*n) is out of "

@@ -51,8 +51,9 @@ def test_qnum_numeric_requires_q(capsys):
     assert "needs --q" in err
 
 
-def test_qnum_overflow_asks_for_a_smaller_n(capsys):
-    code, out, err = run(capsys, "qnum", "--n", "10000", "--r", "1", "--q", "1.5")
+@pytest.mark.parametrize("n", ["10000", "1e400"])
+def test_qnum_overflow_asks_for_a_smaller_n(capsys, n):
+    code, out, err = run(capsys, "qnum", "--n", n, "--r", "1", "--q", "1.5")
     assert code == 2 and out == ""
     assert "overflows a double" in err and "use a smaller |n|" in err
 
@@ -446,6 +447,24 @@ def test_flags_a_command_ignores_are_usage_errors(capsys, argv):
     code, out, err = run(capsys, *argv)
     assert code == 2 and out == ""
     assert "unrecognized arguments" in err
+
+
+@pytest.mark.parametrize("argv", [
+    ("phase", "rep", "--csv"),
+    ("phase", "qft", "--csv"),
+    ("phase", "reconstruct", "--csv"),
+    ("phase", "xspec", "--tol", "1e-9"),
+    ("phase", "qft", "--tol", "1e-9"),
+    ("phase", "spectrum", "--tol", "1e-9"),
+    ("classical", "verify", "--csv"),
+    ("classical", "period", "--csv"),
+    ("classical", "period", "--tol", "1e-9"),
+])
+def test_flags_a_mode_ignores_are_usage_errors(capsys, argv):
+    params = ("--q", "1.5", "--N", "20") if argv[0] == "phase" else ("--E", "1", "--h", "0.1")
+    code, out, err = run(capsys, *argv, *params)
+    assert code == 2 and out == ""
+    assert f"{argv[2]} applies only to {argv[0]} " in err and f"not {argv[1]}" in err
 
 
 def test_unknown_command_is_usage_error(capsys):

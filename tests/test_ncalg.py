@@ -72,9 +72,14 @@ def test_counterexample_rewriting_diverges():
         normal_form(counterexample, (1, 1, 0), budget=5000)
 
 
-def test_missing_rule_raises():
-    with pytest.raises(MissingRuleError):
-        normal_form(wz, (3, 2))
+@pytest.mark.parametrize("rewrite", [
+    lambda: normal_form(wz, (3, 2)),
+    lambda: all_normal_forms(wz, (3, 2)),
+    lambda: flatness_scan(wz, 2),
+], ids=["normal_form", "all_normal_forms", "flatness_scan"])
+def test_missing_rule_raises(rewrite):
+    with pytest.raises(MissingRuleError, match="no reordering rule for dy\\*dx"):
+        rewrite()
 
 
 def test_qheisenberg_p8x8_normalizes_at_default_budget():
@@ -334,6 +339,8 @@ def test_flatness_budget_guard():
         flatness_scan(suq2, 7)  # 5^0 + ... + 5^7 = 97,656 words
     with pytest.raises(PresentationError):
         flatness_scan(manin, 9)
+    with pytest.raises(PresentationError):
+        flatness_scan(manin, -1)
 
 
 # ---------------------------------------------------------------------------
