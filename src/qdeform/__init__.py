@@ -14,6 +14,8 @@ The package is organized in independent layers:
   trajectory, and high-accuracy integration checks.
 """
 
+from importlib import import_module
+
 from .scalars import (
     GaussRat,
     HalfInt,
@@ -38,49 +40,68 @@ from .ncalg import (
 )
 from .parsing import ParseError, parse_expr, parse_rule
 from .presets import PRESETS, get_preset
-from .suq2 import (
-    DecompositionError,
-    DecompositionReport,
-    Suq2Rep,
-    algebra_residuals,
-    build_rep,
-    build_rep_exact,
-    casimir_decompose,
-    casimir_eigenvalue,
-    conjugation_residuals,
-    coproduct,
-    from_su2_embedding,
-    rep_report,
-    spinor_exact,
-)
-from .qphase import (
-    BRACKET_CONVENTIONS,
-    PhaseParams,
-    PhaseRep,
-    Reconstruction,
-    SpectrumReport,
-    SpectrumWindowError,
-    build_phase_rep,
-    evolve,
-    expected_hamiltonian_spectrum,
-    hamiltonian_spectrum,
-    phase_report,
-    reconstruct_pxlambda,
-    relation_residuals,
-    spectral_factor,
-    x_eigensystem,
-    x_extension_eigensystem,
-)
-from .classical import (
-    ClassicalParams,
-    InsufficientRangeError,
-    classical_report,
-    closed_form_position,
-    compare_closed_form,
-    estimate_maxima_spacing,
-    free_limit_deviation,
-    integrate_trajectory,
-)
+# the numeric layers load numpy, so their names are imported on first use
+# (PEP 562): `from qdeform import QExact` and the exact commands stay pure Python
+_LAZY = {
+    "suq2": (
+        "DecompositionError",
+        "DecompositionReport",
+        "Suq2Rep",
+        "algebra_residuals",
+        "build_rep",
+        "build_rep_exact",
+        "casimir_decompose",
+        "casimir_eigenvalue",
+        "conjugation_residuals",
+        "coproduct",
+        "from_su2_embedding",
+        "rep_report",
+        "spinor_exact",
+    ),
+    "qphase": (
+        "BRACKET_CONVENTIONS",
+        "PhaseParams",
+        "PhaseRep",
+        "Reconstruction",
+        "SpectrumReport",
+        "SpectrumWindowError",
+        "build_phase_rep",
+        "evolve",
+        "expected_hamiltonian_spectrum",
+        "hamiltonian_spectrum",
+        "phase_report",
+        "reconstruct_pxlambda",
+        "relation_residuals",
+        "spectral_factor",
+        "x_eigensystem",
+        "x_extension_eigensystem",
+    ),
+    "classical": (
+        "ClassicalParams",
+        "InsufficientRangeError",
+        "classical_report",
+        "closed_form_position",
+        "compare_closed_form",
+        "estimate_maxima_spacing",
+        "free_limit_deviation",
+        "integrate_trajectory",
+    ),
+}
+_LAYER_OF = {name: layer for layer, names in _LAZY.items() for name in names}
+
+
+def __getattr__(name):
+    layer = _LAYER_OF.get(name)
+    if layer is None:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = getattr(import_module(f".{layer}", __name__), name)
+    globals()[name] = value
+    return value
+
+
+def __dir__():
+    return sorted(set(globals()) | set(_LAYER_OF))
+
 
 __version__ = "0.1.0"
 

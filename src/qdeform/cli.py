@@ -9,41 +9,18 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 from fractions import Fraction
 
-import numpy as np
-
-from .classical import (
-    ClassicalParams,
-    InsufficientRangeError,
-    classical_report,
-    estimate_maxima_spacing,
-    integrate_trajectory,
-)
 from .ncalg import DivergedError, PresentationError, derivative_apply, \
     flatness_scan, normal_form
 from .parsing import parse_expr, parse_rule
 from .presets import PRESETS, get_preset
-from .qphase import (
-    PhaseParams,
-    build_phase_rep,
-    expected_hamiltonian_spectrum,
-    hamiltonian_spectrum,
-    phase_payload,
-    reconstruct_pxlambda,
-    relation_residuals,
-    x_eigensystem,
-)
 from .scalars import HalfInt, QExactError, q_number, q_number_value
-from .suq2 import (
-    algebra_residuals,
-    build_rep,
-    casimir_decompose,
-    conjugation_residuals,
-    coproduct,
-    rep_report,
-)
+
+# the numeric layers (suq2, qphase, classical) load numpy, so each handler
+# that uses one imports it: the exact commands stay pure Python
 
 
 def _f(value: float) -> str:
@@ -116,6 +93,8 @@ def _cmd_qnum(args, out: _Output) -> int:
 
 
 def _cmd_rep(args, out: _Output) -> int:
+    from .suq2 import rep_report
+
     report = rep_report(HalfInt.coerce(Fraction(args.j)), args.q)
     worst = max(report["residuals"].values())
     worst = max(worst, report["casimir"]["defect"])
@@ -138,6 +117,9 @@ def _cmd_rep(args, out: _Output) -> int:
 
 
 def _cmd_tensor(args, out: _Output) -> int:
+    from .suq2 import (algebra_residuals, build_rep, casimir_decompose,
+                       conjugation_residuals, coproduct)
+
     j1 = HalfInt.coerce(Fraction(args.j))
     j2 = HalfInt.coerce(Fraction(args.j2)) if args.j2 is not None else j1
     product = coproduct(build_rep(j1, args.q), build_rep(j2, args.q))
@@ -215,14 +197,14 @@ def _cmd_plane(args, out: _Output) -> int:
     return 0
 
 
-def _phase_params(args) -> PhaseParams:
-    return PhaseParams(q=args.q, N=args.N, s0=args.s0, sectors=args.sectors)
-
-
 def _cmd_phase(args, out: _Output) -> int:
+    from .qphase import (PhaseParams, build_phase_rep, expected_hamiltonian_spectrum,
+                         hamiltonian_spectrum, phase_payload, reconstruct_pxlambda,
+                         relation_residuals, x_eigensystem)
+
     # invalid parameters (ValueError) and empty spectral windows
     # (SpectrumWindowError) reach main's exit codes 2 and 1
-    params = _phase_params(args)
+    params = PhaseParams(q=args.q, N=args.N, s0=args.s0, sectors=args.sectors)
     rep = build_phase_rep(params)
     if args.mode == "rep":
         residuals = relation_residuals(rep)
@@ -267,7 +249,7 @@ def _cmd_phase(args, out: _Output) -> int:
     if args.mode == "spectrum":
         spectrum = hamiltonian_spectrum(rep)
         expected = expected_hamiltonian_spectrum(params)
-        defect = float(np.max(np.abs(spectrum - expected)))
+        defect = float(abs(spectrum - expected).max())
         if args.json:
             out.emit_json({"q": params.q, "N": params.N, "s0": params.s0,
                            "sectors": params.sectors, "defect": defect,
@@ -292,6 +274,9 @@ def _cmd_phase(args, out: _Output) -> int:
 
 
 def _cmd_classical(args, out: _Output) -> int:
+    from .classical import (ClassicalParams, InsufficientRangeError, classical_report,
+                            estimate_maxima_spacing, integrate_trajectory)
+
     params = ClassicalParams(energy=args.E, h=args.h)
     tol = args.tol if args.tol is not None else 1e-9
     if args.mode == "traj":
@@ -343,7 +328,7 @@ def _cmd_classical(args, out: _Output) -> int:
 def _tolerance(text: str) -> float:
     """A --tol value: a finite float > 0."""
     value = float(text)
-    if not (value > 0.0 and np.isfinite(value)):
+    if not (value > 0.0 and math.isfinite(value)):
         raise argparse.ArgumentTypeError(f"must be a finite number > 0, got {text!r}")
     return value
 

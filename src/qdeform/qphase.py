@@ -23,9 +23,14 @@ which fills the block, O(N^2), with no matrix product.
 
 from __future__ import annotations
 
+import ctypes
+import importlib.machinery
+import importlib.util
+import os
+import sys
 from dataclasses import dataclass
+from functools import cache
 from math import inf, isfinite, log
-from sys import float_info
 
 import numpy as np
 
@@ -72,7 +77,7 @@ class PhaseParams:
         if not 1.0 <= self.s0 < self.q:
             raise ValueError("scale eigenvalue must lie in [1, q)")
         if not isfinite(_largest_value(self.q, self.N, self.s0)):
-            n_max = int(log(float_info.max / self.s0 ** 2) / (2.0 * log(self.q))) + 1
+            n_max = int(log(sys.float_info.max / self.s0 ** 2) / (2.0 * log(self.q))) + 1
             while not isfinite(_largest_value(self.q, n_max, self.s0)):
                 n_max -= 1
             raise ValueError(f"s0^2 q^(2N) overflows a double at N = {self.N}; "
@@ -370,6 +375,79 @@ def _require_doubled(rep: PhaseRep) -> None:
                          "build the representation with sectors='both'")
 
 
+# LAPACK's dbdsqr as scipy's cython_lapack declares it (d = double)
+_D = "__pyx_t_5scipy_6linalg_13cython_lapack_d *"
+_DBDSQR_SIGNATURE = (f"void (char *, int *, int *, int *, int *, {_D}, {_D}, {_D}, "
+                    f"int *, {_D}, int *, {_D}, int *, {_D}, int *)")
+
+
+def _cython_lapack():
+    """scipy's cython_lapack extension.  Unless scipy.linalg is already
+    imported, its file is loaded directly: importing it by name runs
+    scipy.linalg's __init__, ~0.3 s, for no function used here."""
+    name = "scipy.linalg.cython_lapack"
+    if "scipy.linalg" in sys.modules or name in sys.modules:
+        return importlib.import_module(name)
+    spec = importlib.util.find_spec("scipy")
+    folder = os.path.join(spec.submodule_search_locations[0], "linalg")
+    for suffix in importlib.machinery.EXTENSION_SUFFIXES:
+        path = os.path.join(folder, "cython_lapack" + suffix)
+        if os.path.isfile(path):
+            break
+    else:
+        raise ImportError(f"no cython_lapack extension in {folder}")
+    loader = importlib.machinery.ExtensionFileLoader(name, path)
+    module = importlib.util.module_from_spec(
+        importlib.util.spec_from_file_location(name, path, loader=loader))
+    loader.exec_module(module)
+    return module
+
+
+def _dbdsqr_from(capsule):
+    """The ctypes function behind a cython_lapack capsule of dbdsqr.  The
+    capsule's name is its C signature; any other signature is refused,
+    since calling through a mismatched prototype corrupts memory."""
+    get_name = ctypes.PYFUNCTYPE(ctypes.c_char_p, ctypes.py_object)(
+        ("PyCapsule_GetName", ctypes.pythonapi))
+    get_pointer = ctypes.PYFUNCTYPE(ctypes.c_void_p, ctypes.py_object, ctypes.c_char_p)(
+        ("PyCapsule_GetPointer", ctypes.pythonapi))
+    name = get_name(capsule)
+    if name != _DBDSQR_SIGNATURE.encode():
+        raise RuntimeError(f"LAPACK dbdsqr: scipy's cython_lapack declares "
+                           f"{name!r}, expected {_DBDSQR_SIGNATURE!r}")
+    # the int arguments by reference, the double arrays by address
+    int_p, array = ctypes.POINTER(ctypes.c_int), ctypes.c_void_p
+    prototype = ctypes.CFUNCTYPE(None, ctypes.c_char_p, int_p, int_p, int_p, int_p,
+                                 array, array, array, int_p, array, int_p,
+                                 array, int_p, array, int_p)
+    return prototype(get_pointer(capsule, name))
+
+
+@cache
+def _dbdsqr():
+    return _dbdsqr_from(_cython_lapack().__pyx_capi__["dbdsqr"])
+
+
+def _bidiagonal_svd(d: np.ndarray, e: np.ndarray):
+    """(s, u, vt) of the square upper bidiagonal C with diagonal d and
+    superdiagonal e[:-1] (C = u diag(s) vt, s descending), by one LAPACK
+    dbdsqr call that starts from u = vt = I.  d and e are overwritten."""
+    m = len(d)
+    u, vt = np.eye(m, order="F"), np.eye(m, order="F")
+    work, dummy = np.empty(4 * m), np.zeros(1)
+    size, zero, one, info = map(ctypes.c_int, (m, 0, 1, 0))
+    # uplo, n, ncvt, nru, ncc, d, e, vt, ldvt, u, ldu, c, ldc, work, info
+    _dbdsqr()(b"U", size, size, size, zero, d.ctypes.data, e.ctypes.data,
+              vt.ctypes.data, size, u.ctypes.data, size, dummy.ctypes.data, one,
+              work.ctypes.data, info)
+    if info.value > 0:
+        raise np.linalg.LinAlgError(f"LAPACK dbdsqr did not converge: "
+                                    f"{info.value} superdiagonal entries left")
+    if info.value < 0:
+        raise RuntimeError(f"LAPACK dbdsqr refused argument {-info.value}")
+    return d, u, vt
+
+
 def _ladder(bonds: np.ndarray):
     """Ascending eigenvalues and eigenvectors of the real symmetric
     tridiagonal T with zero diagonal and off-diagonal `bonds`.
@@ -380,24 +458,19 @@ def _ladder(bonds: np.ndarray):
     of sites is odd), and back by C^T.  With C = U S V^T the pairs +-s_k have
     the eigenvectors (v_k, +-u_k)/sqrt(2) on (even, odd) sites, and an odd
     ladder adds the null vector v of its zero row on the even sites, with
-    eigenvalue exactly 0.  LAPACK's gesvd reduces a bidiagonal without fill
-    and runs the zero-shift QR of dbdsqr, which gives every singular value to
-    high relative accuracy however strongly the bonds are graded, and
-    singular vectors orthogonal by construction (Demmel & Kahan, SIAM J. Sci.
-    Stat. Comput. 11 (1990) 873); numpy's gesdd does not keep the tiny
-    values accurate.  Each vector is signed so that its largest-magnitude
-    component is positive.  scipy.linalg takes ~0.3 s to import, so only
-    here.
+    eigenvalue exactly 0.  The two bands of C go straight to LAPACK's
+    dbdsqr, whose zero-shift QR gives every singular value to high relative
+    accuracy however strongly the bonds are graded, and singular vectors
+    orthogonal by construction (Demmel & Kahan, SIAM J. Sci. Stat. Comput.
+    11 (1990) 873); numpy's gesdd does not keep the tiny values accurate.
+    No dense C is formed, and no dense reduction runs before the QR.  Each
+    vector is signed so that its largest-magnitude component is positive.
     """
-    from scipy.linalg import svd
-
     n = len(bonds) + 1
     k = n // 2                          # odd sites, and pairs of values
-    C = np.zeros(((n + 1) // 2,) * 2)   # rows odd sites, columns even sites
-    C[np.arange(k), np.arange(k)] = bonds[0::2]
-    j = np.arange(len(bonds) // 2)
-    C[j, j + 1] = bonds[1::2]
-    u, s, vt = svd(C, lapack_driver="gesvd", check_finite=False)
+    d, e = np.zeros((2, (n + 1) // 2))  # the bands of C, zero-padded
+    d[:len(bonds[0::2])], e[:len(bonds[1::2])] = bonds[0::2], bonds[1::2]
+    s, u, vt = _bidiagonal_svd(d, e)
     # s descends, so -s[:k] ascends and s[k-1::-1] ascends; an odd ladder's
     # zero row adds s[k] = 0 with u the row's unit vector
     v, w = np.sqrt(0.5) * vt[:k].T, np.sqrt(0.5) * u[:k, :k]

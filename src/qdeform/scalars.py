@@ -628,6 +628,22 @@ def lambda_sym() -> QExact:
     return QExact.lam()
 
 
+# the most terms q_number builds: [n]_r has |n| of them
+Q_NUMBER_MAX_TERMS = 100_000
+
+
+def _readable(n) -> str:
+    """The index n for a message: as written below 10^6, else to 6
+    significant digits (1e+400, not 401 digits)."""
+    exact = Fraction(n.twice, 2) if isinstance(n, HalfInt) else Fraction(n)
+    if abs(exact) < 10 ** 6:
+        return str(n)
+    from decimal import Context
+
+    digits = Context(prec=6)
+    return format(digits.divide(exact.numerator, exact.denominator).normalize(digits), "g")
+
+
 def q_number(n, r: int) -> QExact:
     """The q-number [n]_r = (1 - q^(r*n)) / (1 - q^r), exactly.
 
@@ -647,6 +663,12 @@ def q_number(n, r: int) -> QExact:
             "only integer n divides exactly (use a floating evaluation instead)"
         )
     k = a // b
+    if abs(k) > Q_NUMBER_MAX_TERMS:
+        raise QExactError(
+            f"[{_readable(n)}]_{r} has {_readable(abs(k))} terms, more than the "
+            f"{Q_NUMBER_MAX_TERMS} an exact q-number may hold; evaluate it "
+            f"numerically instead (q_number_value, or qnum --q)"
+        )
     if k > 0:
         return _qx({j * b: (1, 0) for j in range(k)}, 1)
     return _qx({(k + j) * b: (-1, 0) for j in range(-k)}, 1)
@@ -664,5 +686,5 @@ def q_number_value(n, r: int, q: float) -> float:
             return nf
         return (1.0 - q ** (r * nf)) / (1.0 - q ** r)
     except OverflowError:
-        raise ValueError(f"[{n}]_{r} overflows a double at q = {q}: q^(r*n) is out of "
+        raise ValueError(f"[{_readable(n)}]_{r} overflows a double at q = {q}: q^(r*n) is out of "
                          f"range; use a smaller |n| (or |r|)") from None

@@ -325,7 +325,7 @@ def test_classical_report_schema():
 
 
 def test_package_import_defers_scipy_integrate():
-    # the integrator is the package's own; scipy is imported for scipy.linalg
+    # the integrator is the package's own
     import qdeform
 
     src = str(Path(qdeform.__file__).resolve().parents[1])

@@ -2,6 +2,10 @@
 
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -51,11 +55,23 @@ def test_qnum_numeric_requires_q(capsys):
     assert "needs --q" in err
 
 
-@pytest.mark.parametrize("n", ["10000", "1e400"])
-def test_qnum_overflow_asks_for_a_smaller_n(capsys, n):
+@pytest.mark.parametrize("n, shown", [("10000", "[10000]_1"), ("1e400", "[1e+400]_1"),
+                                      ("1234567.5", "[1.23457e+6]_1")],
+                         ids=["10000", "1e400", "1234567.5"])
+def test_qnum_overflow_asks_for_a_smaller_n(capsys, n, shown):
     code, out, err = run(capsys, "qnum", "--n", n, "--r", "1", "--q", "1.5")
     assert code == 2 and out == ""
     assert "overflows a double" in err and "use a smaller |n|" in err
+    assert f"error: {shown} overflows" in err
+
+
+@pytest.mark.parametrize("n, r, shown", [("1e9", "1", "[1e+9]_1 has 1e+9 terms"),
+                                         ("-100001", "3", "[-100001]_3 has 100001 terms")],
+                         ids=["1e9", "-100001"])
+def test_qnum_symbolic_refuses_more_than_100000_terms(capsys, n, r, shown):
+    code, out, err = run(capsys, "qnum", "--n", n, "--r", r, "--symbolic")
+    assert code == 2 and out == ""
+    assert shown in err and "more than the 100000" in err and "--q" in err
 
 
 @pytest.mark.parametrize("q", ["-2", "nan", "inf"])
@@ -278,7 +294,6 @@ def test_phase_largest_admissible_window_accepted(capsys):
     ("xspec", {"build_phase_rep": 1, "relation_residuals": 1, "x_eigensystem": 1}),
 ])
 def test_phase_json_builds_and_computes_once(capsys, monkeypatch, mode, calls):
-    import qdeform.cli as cli
     import qdeform.qphase as qphase
 
     names = ("build_phase_rep", "relation_residuals", "x_eigensystem")
@@ -295,7 +310,6 @@ def test_phase_json_builds_and_computes_once(capsys, monkeypatch, mode, calls):
     for name in counts:
         wrapper = counting(name)
         monkeypatch.setattr(qphase, name, wrapper)
-        monkeypatch.setattr(cli, name, wrapper)
     code, _, _ = run(capsys, "phase", mode, "--q", "1.5", "--N", "20", "--json")
     assert code == 0
     assert counts == {**dict.fromkeys(names, 0), **calls}
@@ -486,3 +500,36 @@ def test_output_is_byte_identical(capsys):
     _, third, _ = run(capsys, "tensor", "--j", "0.5", "--q", "1.2", "--json")
     _, fourth, _ = run(capsys, "tensor", "--j", "0.5", "--q", "1.2", "--json")
     assert third == fourth
+
+
+def test_each_command_loads_only_its_layer():
+    """The exact commands load no numpy, and the ladders no scipy.linalg
+    package; the numeric names of the package still resolve."""
+    import qdeform
+
+    src = str(Path(qdeform.__file__).resolve().parents[1])
+    run_cli = "from qdeform.cli import main\nassert main({}) == 0\n"
+    probes = [
+        (run_cli.format(["qnum", "--n", "5", "--r", "2", "--symbolic"]), "numpy"),
+        (run_cli.format(["plane", "flatness", "--preset", "manin", "--max-degree", "3"]),
+         "numpy"),
+        (run_cli.format(["plane", "normalize", "--expr", "y*x*y"]), "numpy"),
+        ("from qdeform import QExact\n", "numpy"),
+        (run_cli.format(["phase", "xspec", "--q", "1.5", "--N", "20", "--json"]),
+         "scipy.linalg"),
+        (run_cli.format(["phase", "qft", "--q", "1.5", "--N", "8"]), "scipy.linalg"),
+    ]
+    for code, module in probes:
+        out = subprocess.run(
+            [sys.executable, "-c",
+             code + f"import sys; print({module!r} in sys.modules)"],
+            env={**os.environ, "PYTHONPATH": src},
+            capture_output=True, text=True, check=True,
+        )
+        assert out.stdout.strip().splitlines()[-1] == "False", code
+    out = subprocess.run(
+        [sys.executable, "-c", "import qdeform; print(qdeform.x_eigensystem.__module__)"],
+        env={**os.environ, "PYTHONPATH": src},
+        capture_output=True, text=True, check=True,
+    )
+    assert out.stdout.strip() == "qdeform.qphase"

@@ -630,6 +630,87 @@ def test_ladder_sign_and_null_conventions(q, N, drop):
         assert len(zero) == 0
 
 
+def _gesvd_ladder(bonds):
+    """The ladder by the former route, the oracle: the dense bidiagonal C
+    through scipy.linalg.svd's gesvd, which reduces C to itself and then
+    runs dbdsqr, with `_ladder`'s assembly of the eigenvectors."""
+    from scipy.linalg import svd
+
+    n = len(bonds) + 1
+    k = n // 2
+    C = np.zeros(((n + 1) // 2,) * 2)
+    C[np.arange(k), np.arange(k)] = bonds[0::2]
+    j = np.arange(len(bonds) // 2)
+    C[j, j + 1] = bonds[1::2]
+    u, s, vt = svd(C, lapack_driver="gesvd", check_finite=False)
+    v, w = np.sqrt(0.5) * vt[:k].T, np.sqrt(0.5) * u[:k, :k]
+    vecs = np.zeros((n, n))
+    vecs[0::2, :k], vecs[1::2, :k] = v, -w
+    vecs[0::2, n - k:], vecs[1::2, n - k:] = v[:, ::-1], w[:, ::-1]
+    if n % 2:
+        vecs[0::2, k] = vt[k]
+    peak = vecs[np.argmax(np.abs(vecs), axis=0), np.arange(n)]
+    vecs *= np.copysign(1.0, peak)
+    return np.concatenate([-s[:k], np.zeros(n - 2 * k), s[k - 1::-1]]), vecs
+
+
+@pytest.mark.parametrize("q, N", [(1.5, 100), (1.5, 200), (1.5, 400), (3.0, 200)])
+@pytest.mark.parametrize("drop", [0, 1])
+def test_ladder_equals_gesvd_bitwise(q, N, drop):
+    """gesvd leaves a bidiagonal C as it is and calls dbdsqr on it, so the
+    direct call returns the same bits wherever gesvd does not scale C."""
+    from qdeform.qphase import _ladder
+
+    bonds = rep_for(q=q, N=N).X[drop:]
+    vals, vecs = _ladder(bonds)
+    expected_vals, expected_vecs = _gesvd_ladder(bonds)
+    assert np.array_equal(vals, expected_vals)
+    assert np.array_equal(vecs, expected_vecs)
+
+
+@pytest.mark.parametrize("q, N", [(1.5, 870), (3.0, 300)])
+def test_ladder_matches_gesvd_where_gesvd_scales(q, N):
+    """gesvd scales a C whose largest entry leaves [~7e-139, ~1.5e138]
+    before dbdsqr runs, so the two agree to rounding there (measured 5-10
+    ulps relative on every value, however small)."""
+    from qdeform.qphase import _ladder
+
+    bonds = rep_for(q=q, N=N).X
+    vals, vecs = _ladder(bonds)
+    expected_vals, expected_vecs = _gesvd_ladder(bonds)
+    eps = np.finfo(float).eps
+    assert np.all(np.abs(vals - expected_vals) <= 16 * eps * np.abs(expected_vals))
+    assert np.max(np.abs(vecs - expected_vecs)) <= 1e-14
+
+
+def test_dbdsqr_failure_is_a_window_error(monkeypatch):
+    """dbdsqr's info > 0 (superdiagonal entries left unconverged) reaches
+    the caller as numpy's LinAlgError, which the routes map to a window
+    error."""
+    import qdeform.qphase as qphase
+
+    def unconverged(*args):
+        args[-1].value = 2
+    monkeypatch.setattr(qphase, "_dbdsqr", lambda: unconverged)
+    with pytest.raises(np.linalg.LinAlgError, match="2 superdiagonal"):
+        qphase._ladder(rep_for(q=1.5, N=20).X)
+    with pytest.raises(SpectrumWindowError, match="use a smaller N"):
+        x_eigensystem(rep_for(q=1.5, N=20))
+
+
+def test_dbdsqr_capsule_with_another_signature_is_refused():
+    """A capsule is called through the prototype of dbdsqr only if its C
+    signature is dbdsqr's; sbdsqr, the single-precision twin, is not."""
+    from scipy.linalg import cython_lapack
+
+    from qdeform.qphase import _DBDSQR_SIGNATURE, _dbdsqr_from
+
+    assert _dbdsqr_from(cython_lapack.__pyx_capi__["dbdsqr"]) is not None
+    with pytest.raises(RuntimeError, match="dbdsqr") as err:
+        _dbdsqr_from(cython_lapack.__pyx_capi__["sbdsqr"])
+    assert _DBDSQR_SIGNATURE in str(err.value)
+
+
 @pytest.mark.parametrize("q, s0", [(1.5, 1.0), (1.5, 1.2), (1.7, 1.0), (1.7, 1.2),
                                    (3.0, 1.0)])
 @pytest.mark.parametrize("N", [13, 60])

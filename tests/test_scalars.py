@@ -74,6 +74,16 @@ def test_q_number_halfinteger_index_leaves_ring():
         q_number(Fraction(3, 2), 2)
 
 
+@pytest.mark.parametrize("r", [1, -3])
+def test_q_number_holds_at_most_100000_terms(r):
+    """[n]_r has |n| terms whatever r is; one more than the bound is refused."""
+    for n in (100_000, -100_000):
+        q_number(n, r)
+    for n in (100_001, -100_001):
+        with pytest.raises(QExactError, match="has 100001 terms"):
+            q_number(n, r)
+
+
 def test_q_number_float_agrees_with_exact():
     for q in (1.3, 0.7, 2.0):
         for n in (-3, -1, 0, 2, 5):
